@@ -44,6 +44,14 @@ nearest_rank(const std::vector<double>& sorted, double p)
     return sorted[std::max<std::size_t>(rank, 1) - 1];
 }
 
+/** Insert @p value into ascending @p sorted, keeping it ascending. */
+void
+insert_sorted(std::vector<double>& sorted, double value)
+{
+    sorted.insert(
+        std::upper_bound(sorted.begin(), sorted.end(), value), value);
+}
+
 }  // namespace
 
 const char*
@@ -253,16 +261,12 @@ Scheduler::find_prefix_match(const QueuedRequest& queued) const
             break;  // Chain property: deeper runs cannot match.
         }
         bool found = false;
+        bool promised = false;
         for (const std::uint64_t owner_id : it->second) {
             for (std::size_t i = 0; i < active_.size(); ++i) {
                 const ActiveRequest& donor = active_[i];
                 if (donor.id != owner_id ||
                     donor.session.kv_precision() != precision) {
-                    continue;
-                }
-                // The donor must have those positions resident --
-                // fed (or itself adopted), not merely promised.
-                if (donor.prompt_fed.value() < b * bt) {
                     continue;
                 }
                 if (functional_ &&
@@ -273,6 +277,13 @@ Scheduler::find_prefix_match(const QueuedRequest& queued) const
                                                                  bt),
                                  donor.request.prompt.begin()))) {
                     continue;  // Hash collision: verify content.
+                }
+                // Shareable only once resident -- fed (or itself
+                // adopted).  An owner still prefilling the block has
+                // merely promised it.
+                if (donor.prompt_fed.value() < b * bt) {
+                    promised = true;
+                    continue;
                 }
                 match.tokens = units::Tokens(b * bt);
                 match.blocks = units::Blocks(b);
@@ -285,6 +296,7 @@ Scheduler::find_prefix_match(const QueuedRequest& queued) const
             }
         }
         if (!found) {
+            match.pending = promised;
             break;  // No deeper donor can exist (prefix property).
         }
     }
@@ -593,6 +605,14 @@ Scheduler::admit_arrivals()
         // Prefix-cache lookup first: a hit shrinks the admission
         // charge to the unshared tail.
         const PrefixMatch match = find_prefix_match(head);
+        if (match.pending) {
+            // An active owner is still prefilling the next shared
+            // block: wait for it (FIFO, like a budget miss) rather
+            // than recompute it.  The owner feeds a chunk every step,
+            // and leaving the index (preempt / cancel / retire) ends
+            // the wait, so this cannot deadlock.
+            break;
+        }
         const units::Bytes needed = admission_bytes(head, match.blocks);
         if (config_.kv_budget_bytes != units::Bytes(0)) {
             const units::Bytes watermark =
@@ -722,12 +742,12 @@ Scheduler::record_finished(FinishedRequest f)
     if (f.generated > units::Tokens(0)) {
         sum_ttft_s_ += f.ttft_s();
         max_ttft_s_ = std::max(max_ttft_s_, f.ttft_s());
-        ttft_samples_.push_back(f.ttft_s());
+        insert_sorted(ttft_samples_, f.ttft_s());
         ++ttft_count_;
     }
     if (f.generated > units::Tokens(1)) {
         sum_tpot_s_ += f.tpot_s();
-        tpot_samples_.push_back(f.tpot_s());
+        insert_sorted(tpot_samples_, f.tpot_s());
         ++tpot_count_;
     }
     switch (f.reason) {
@@ -1235,21 +1255,15 @@ Scheduler::stats() const
         s.mean_tpot_s =
             sum_tpot_s_ / static_cast<double>(tpot_count_);
     }
-    {
-        // Exact nearest-rank percentiles over the same per-request
-        // samples the means use (sorted on demand: stats() is a
-        // report call, not a per-step one).
-        std::vector<double> ttft = ttft_samples_;
-        std::sort(ttft.begin(), ttft.end());
-        s.p50_ttft_s = nearest_rank(ttft, 50.0);
-        s.p95_ttft_s = nearest_rank(ttft, 95.0);
-        s.p99_ttft_s = nearest_rank(ttft, 99.0);
-        std::vector<double> tpot = tpot_samples_;
-        std::sort(tpot.begin(), tpot.end());
-        s.p50_tpot_s = nearest_rank(tpot, 50.0);
-        s.p95_tpot_s = nearest_rank(tpot, 95.0);
-        s.p99_tpot_s = nearest_rank(tpot, 99.0);
-    }
+    // Exact nearest-rank percentiles over the same per-request
+    // samples the means use; record_finished keeps them sorted, so
+    // serve::Server's per-step stats() call costs no copy or sort.
+    s.p50_ttft_s = nearest_rank(ttft_samples_, 50.0);
+    s.p95_ttft_s = nearest_rank(ttft_samples_, 95.0);
+    s.p99_ttft_s = nearest_rank(ttft_samples_, 99.0);
+    s.p50_tpot_s = nearest_rank(tpot_samples_, 50.0);
+    s.p95_tpot_s = nearest_rank(tpot_samples_, 95.0);
+    s.p99_tpot_s = nearest_rank(tpot_samples_, 99.0);
     s.pooled_steps = pooled_steps_;
     if (pooled_steps_ > 0) {
         s.mean_worker_busy =

@@ -40,12 +40,19 @@
  *    pool refcounts (copy-on-write protected), charges only the
  *    unshared tail against the budget, and skips the shared blocks'
  *    prefill chunks entirely -- under Mugi's INT4-KVQ layout a hit
- *    saves both the recompute and the quantization pass.  Analytic
- *    serving mirrors this: requests declaring a common
- *    Request::prefix_group share refcounted reservations and skip
- *    the shared chunks the same way.  Preemption interacts through
- *    the refcounts: evicting one sharer never frees a block another
- *    sharer still reads;
+ *    saves both the recompute and the quantization pass.  A block an
+ *    owner has registered but not yet fed is *promised*, not
+ *    resident: when the lookup stops at a promised block, the queue
+ *    head is deferred for the step (like a KV-budget miss, keeping
+ *    FIFO) and admitted later with the full hit instead of
+ *    recomputing the document.  The wait cannot deadlock: the owner
+ *    is active, so it feeds a chunk every step, and an owner that is
+ *    preempted, cancelled or retired drops its index entries, which
+ *    ends the wait.  Analytic serving mirrors all of this: requests
+ *    declaring a common Request::prefix_group share refcounted
+ *    reservations and skip the shared chunks the same way.
+ *    Preemption interacts through the refcounts: evicting one sharer
+ *    never frees a block another sharer still reads;
  *  - chunked prefill: admitted prompts are fed at most
  *    prefill_chunk_tokens per iteration, interleaved with the decode
  *    batch in one Engine::step(StepPlan) whose mixed workload shares
@@ -532,6 +539,13 @@ class Scheduler {
         units::Blocks blocks{0};  ///< Block groups those cover.
         /** active_ index of the resident donor (tokens > 0 only). */
         std::size_t donor = 0;
+        /**
+         * The walk stopped at a *promised* block: every
+         * content-matching owner of the next key is still
+         * prefilling it.  Admission defers the request instead of
+         * recomputing what the owner is about to make resident.
+         */
+        bool pending = false;
     };
 
     /** Bytes of one all-layer block group at @p precision. */
@@ -552,7 +566,8 @@ class Scheduler {
      * Longest block-aligned prompt prefix of @p queued already
      * computed by a resident request at the same precision (always
      * leaving >= 1 token to feed, so the completing chunk's logits
-     * still emit the first token).
+     * still emit the first token); PrefixMatch::pending when the
+     * next block is only promised by an owner still prefilling it.
      */
     PrefixMatch find_prefix_match(const QueuedRequest& queued) const;
     /** Publish @p req's prompt blocks in the prefix index. */
@@ -678,7 +693,8 @@ class Scheduler {
     /** Finished requests that emitted >= 2 tokens (TPOT divisor). */
     std::size_t tpot_count_ = 0;
     /** Per-request latency samples behind the stats() percentiles
-     *  (same inclusion rules as the ttft/tpot counts above). */
+     *  (same inclusion rules as the ttft/tpot counts above), kept
+     *  ascending on insert so stats() ranks them without a sort. */
     std::vector<double> ttft_samples_;
     std::vector<double> tpot_samples_;
 };

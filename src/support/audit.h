@@ -40,6 +40,17 @@
 namespace mugi {
 namespace support {
 
+/**
+ * Whether assert() is compiled in (false under NDEBUG).  Tests key
+ * runtime GTEST_SKIP()s on this instead of preprocessor-guarding
+ * their bodies, so every test body compiles in every build type.
+ */
+#ifdef NDEBUG
+inline constexpr bool kAssertsOn = false;
+#else
+inline constexpr bool kAssertsOn = true;
+#endif
+
 /** Report a failed invariant audit and abort. */
 [[noreturn]] inline void
 audit_failure(const char* where, const std::string& violation)

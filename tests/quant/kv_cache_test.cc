@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/audit.h"
 #include "support/rng.h"
 
 namespace mugi {
@@ -371,9 +372,21 @@ TEST(KvCache, MovedFromOwnedPoolCacheOutlivesTheDestination)
     // the old code its pool_ would dangle into freed storage.
     EXPECT_EQ(source.length(), units::Positions(0));
     EXPECT_EQ(source.memory_bytes(), units::Bytes(0));
-#ifndef NDEBUG
+}
+
+TEST(KvCacheDeathTest, AppendOnAMovedFromCacheAsserts)
+{
+    // The moved-from cache has no pool to append into; assert-enabled
+    // builds must reject the append loudly (under NDEBUG it is
+    // undefined, so the body only runs with asserts on).
+    if (!support::kAssertsOn) {
+        GTEST_SKIP() << "assert contract; needs asserts compiled in";
+    }
+    std::mt19937 rng(607);
+    KvCache source(2, 8, KvPrecision::kInt4);
+    const auto kv = random_heads(2, 8, rng);
+    const KvCache target = std::move(source);
     EXPECT_DEATH(source.append(kv, kv), "moved-from");
-#endif
 }
 
 TEST(KvCache, ReusedBlocksComeBackZeroedForTheNibbleOrPath)

@@ -19,6 +19,7 @@
 
 #include "model/accuracy.h"
 #include "model/workload.h"
+#include "support/audit.h"
 
 namespace mugi {
 namespace serve {
@@ -767,6 +768,313 @@ TEST(Scheduler, AnalyticSharerIsResidentBeforeThePressureCheck)
     EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
 }
 
+// ---- In-flight prefix sharing: promised blocks defer the head. ----
+
+/** Greedy stream of @p prompt served alone: prefill, then steps. */
+std::vector<int>
+solo_stream(const Engine& engine, const std::vector<int>& prompt,
+            std::size_t max_new)
+{
+    Session session = engine.create_session();
+    const std::vector<float> logits = engine.prefill(session, prompt);
+    int token = static_cast<int>(std::distance(
+        logits.begin(),
+        std::max_element(logits.begin(), logits.end())));
+    std::vector<int> generated = {token};
+    while (generated.size() < max_new) {
+        token = engine.step(session, token).outputs[0].next_token;
+        generated.push_back(token);
+    }
+    return generated;
+}
+
+/** @p document followed by @p suffix_len synthetic tokens. */
+std::vector<int>
+document_prompt(const std::vector<int>& document,
+                std::size_t suffix_len, std::size_t vocab,
+                std::uint32_t seed)
+{
+    std::vector<int> prompt = document;
+    const std::vector<int> suffix =
+        model::synthetic_tokens(suffix_len, vocab, seed);
+    prompt.insert(prompt.end(), suffix.begin(), suffix.end());
+    return prompt;
+}
+
+TEST(Scheduler, SameInstantBurstWaitsForTheDonorInsteadOfRecomputing)
+{
+    // Six requests on two 12-token documents (3 blocks at B=4), all
+    // arriving at t=0.  The first request on each document donates;
+    // the others find its blocks promised but not yet fed, wait for
+    // them, and adopt the whole document -- so each document is
+    // prefilled exactly once.
+    const model::ModelConfig config =
+        model::llama2_70b().scaled_for_eval(2, 32, 64);
+    auto transformer =
+        std::make_shared<model::TransformerModel>(config, 811);
+    const Engine engine(sim::make_mugi(64), transformer);
+
+    const std::size_t kDocTokens = 12;
+    const std::size_t kSuffix = 3;
+    const std::vector<std::vector<int>> documents = {
+        model::synthetic_tokens(kDocTokens, config.vocab, 950),
+        model::synthetic_tokens(kDocTokens, config.vocab, 951)};
+    std::vector<std::vector<int>> prompts;
+    for (std::size_t i = 0; i < 6; ++i) {
+        prompts.push_back(document_prompt(
+            documents[i % documents.size()], kSuffix, config.vocab,
+            static_cast<std::uint32_t>(960 + i)));
+    }
+    const std::size_t kMaxNew = 5;
+
+    const auto serve_burst = [&](bool sharing) {
+        SchedulerConfig sched_config;
+        sched_config.kv_block_tokens = units::Tokens(4);
+        // One block per chunk: a donor needs three steps to make its
+        // document resident, so followers really do find it promised.
+        sched_config.prefill_chunk_tokens = units::Tokens(4);
+        sched_config.max_batch = prompts.size();
+        sched_config.prefix_caching = sharing;
+        Scheduler scheduler(engine, sched_config);
+        std::vector<std::uint64_t> ids;
+        for (const std::vector<int>& prompt : prompts) {
+            Request request;
+            request.prompt = prompt;
+            request.max_new_tokens = units::Tokens(kMaxNew);
+            ids.push_back(scheduler.submit(std::move(request)));
+        }
+        while (scheduler.step()) {
+            EXPECT_EQ(scheduler.check_invariants(), "");
+        }
+        EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
+        std::vector<std::vector<int>> tokens(prompts.size());
+        for (FinishedRequest& f : scheduler.take_finished()) {
+            const auto at = std::find(ids.begin(), ids.end(), f.id);
+            tokens[static_cast<std::size_t>(at - ids.begin())] =
+                std::move(f.tokens);
+        }
+        return std::make_pair(std::move(tokens), scheduler.stats());
+    };
+
+    const auto [tokens_off, stats_off] = serve_burst(false);
+    const auto [tokens_on, stats_on] = serve_burst(true);
+    for (std::size_t i = 0; i < prompts.size(); ++i) {
+        EXPECT_EQ(tokens_on[i], tokens_off[i])
+            << "request " << i << " diverged under in-flight sharing";
+        EXPECT_EQ(tokens_on[i].size(), kMaxNew);
+    }
+    EXPECT_EQ(stats_off.prefill_tokens,
+              units::Tokens(prompts.size() * (kDocTokens + kSuffix)));
+    // Each document's blocks once, plus every unshared tail.
+    EXPECT_EQ(stats_on.prefill_tokens,
+              units::Tokens(documents.size() * kDocTokens +
+                            prompts.size() * kSuffix));
+    EXPECT_EQ(stats_on.prefix_hits,
+              prompts.size() - documents.size());
+    EXPECT_EQ(stats_on.saved_prefill_tokens,
+              units::Tokens((prompts.size() - documents.size()) *
+                            kDocTokens));
+}
+
+TEST(Scheduler, DeferredFollowerRecomputesWhenTheDonorIsCancelled)
+{
+    // The follower waits on a donor that is still prefilling; the
+    // donor is cancelled.  Its index entries go with it, so the
+    // follower is admitted on the next step, computes the document
+    // itself, and its stream matches a solo run.
+    const model::ModelConfig config =
+        model::llama2_70b().scaled_for_eval(2, 32, 64);
+    auto transformer =
+        std::make_shared<model::TransformerModel>(config, 812);
+    const Engine engine(sim::make_mugi(64), transformer);
+
+    const std::vector<int> document =
+        model::synthetic_tokens(16, config.vocab, 970);
+    const std::vector<int> donor_prompt =
+        document_prompt(document, 2, config.vocab, 971);
+    const std::vector<int> follower_prompt =
+        document_prompt(document, 2, config.vocab, 972);
+    const std::size_t kMaxNew = 4;
+
+    SchedulerConfig sched_config;
+    sched_config.kv_block_tokens = units::Tokens(4);
+    sched_config.prefill_chunk_tokens = units::Tokens(4);
+    sched_config.max_batch = 2;
+    Scheduler scheduler(engine, sched_config);
+    Request donor;
+    donor.prompt = donor_prompt;
+    donor.max_new_tokens = units::Tokens(kMaxNew);
+    const std::uint64_t donor_id = scheduler.submit(std::move(donor));
+    Request follower;
+    follower.prompt = follower_prompt;
+    follower.max_new_tokens = units::Tokens(kMaxNew);
+    const std::uint64_t follower_id =
+        scheduler.submit(std::move(follower));
+
+    ASSERT_TRUE(scheduler.step());
+    EXPECT_EQ(scheduler.active(), 1u);
+    EXPECT_EQ(scheduler.queued(), 1u)
+        << "the follower must wait for the donor's promised blocks";
+    ASSERT_TRUE(scheduler.cancel(donor_id));
+    EXPECT_EQ(scheduler.check_invariants(), "");
+    while (scheduler.step()) {
+        EXPECT_EQ(scheduler.check_invariants(), "");
+    }
+
+    const ServerStats stats = scheduler.stats();
+    EXPECT_EQ(stats.prefix_hits, 0u);
+    EXPECT_EQ(stats.cancelled, 1u);
+    // The donor fed one chunk; the follower fed its whole prompt.
+    EXPECT_EQ(stats.prefill_tokens,
+              units::Tokens(4 + follower_prompt.size()));
+    EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
+    for (const FinishedRequest& f : scheduler.take_finished()) {
+        if (f.id == follower_id) {
+            EXPECT_EQ(f.tokens,
+                      solo_stream(engine, follower_prompt, kMaxNew));
+        }
+    }
+}
+
+TEST(Scheduler, DeferredFollowerSurvivesTheDonorsPreemption)
+{
+    // Four high-priority residents decode under a tight budget while
+    // a low-priority donor prefills a document a follower waits on
+    // (the budget would admit the follower too: it waits only for
+    // the promised blocks).  The residents' growth evicts the donor
+    // mid-document, dropping its index entries and re-queueing it
+    // ahead of the follower; nothing may deadlock, and every stream
+    // stays bit-identical to solo serving.
+    const model::ModelConfig config =
+        model::llama2_70b().scaled_for_eval(2, 32, 64);
+    auto transformer =
+        std::make_shared<model::TransformerModel>(config, 813);
+    const Engine engine(sim::make_mugi(64), transformer);
+
+    const std::vector<int> document =
+        model::synthetic_tokens(32, config.vocab, 980);
+    std::vector<std::vector<int>> prompts;
+    std::vector<std::size_t> max_new;
+    for (std::uint32_t i = 0; i < 4; ++i) {  // Residents.
+        prompts.push_back(
+            model::synthetic_tokens(3, config.vocab, 984 + i));
+        max_new.push_back(16);
+    }
+    for (std::uint32_t seed : {982u, 983u}) {  // Donor, follower.
+        prompts.push_back(
+            document_prompt(document, 2, config.vocab, seed));
+        max_new.push_back(4);
+    }
+
+    const units::Bytes group = sim::kv_footprint(
+        config, units::Positions(1), quant::KvPrecision::kInt4,
+        units::Tokens(4)).paged_bytes;
+    SchedulerConfig sched_config;
+    sched_config.kv_block_tokens = units::Tokens(4);
+    sched_config.prefill_chunk_tokens = units::Tokens(1);
+    sched_config.watermark_blocks = units::Blocks(0);
+    // Admission charges 1 block per resident and 9 each for the
+    // donor and the follower: 22 admits all six at once.  Growing
+    // one block per 4 steps each, the residents and the donor need
+    // 25 blocks at step 17, when the donor has fed 4 of its
+    // document's 8 blocks.
+    sched_config.kv_budget_bytes = group * 22;
+    sched_config.max_batch = prompts.size();
+    Scheduler scheduler(engine, sched_config);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < prompts.size(); ++i) {
+        Request request;
+        request.prompt = prompts[i];
+        request.max_new_tokens = units::Tokens(max_new[i]);
+        request.priority = i < 4 ? 1 : 0;
+        ids.push_back(scheduler.submit(std::move(request)));
+    }
+
+    bool preempted_while_waiting = false;
+    std::size_t steps = 0;
+    while (scheduler.step()) {
+        EXPECT_EQ(scheduler.check_invariants(), "");
+        if (steps == 0) {
+            EXPECT_EQ(scheduler.queued(), 1u)
+                << "the follower must wait for the donor";
+        }
+        if (scheduler.preemptions() > 0 && scheduler.queued() == 2) {
+            preempted_while_waiting = true;
+        }
+        ASSERT_LT(++steps, 1000u) << "deferral must not deadlock";
+    }
+    EXPECT_TRUE(preempted_while_waiting)
+        << "the donor must be evicted while the follower waits";
+    EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
+    const std::vector<FinishedRequest> finished =
+        scheduler.take_finished();
+    ASSERT_EQ(finished.size(), prompts.size());
+    for (const FinishedRequest& f : finished) {
+        const auto idx = static_cast<std::size_t>(
+            std::find(ids.begin(), ids.end(), f.id) - ids.begin());
+        EXPECT_EQ(f.tokens,
+                  solo_stream(engine, prompts[idx], max_new[idx]))
+            << "request " << idx << " diverged";
+    }
+}
+
+TEST(Scheduler, AnalyticSameInstantBurstChargesTheGroupOnce)
+{
+    // The analytic mirror of the burst: four prefix_group requests at
+    // one instant.  Followers wait for the donor's promised chunks,
+    // then adopt them -- the group's reservation is refcounted once
+    // and the shared chunks are skipped.
+    const model::ModelConfig config = model::llama2_7b();
+    const Engine engine(sim::make_mugi(256), config);
+    const units::Bytes group = sim::kv_footprint(
+        config, units::Positions(1), quant::KvPrecision::kInt4,
+        units::Tokens(16)).paged_bytes;
+    const std::size_t kRequests = 4;
+
+    const auto serve_burst = [&](bool sharing) {
+        SchedulerConfig sched_config;
+        sched_config.kv_block_tokens = units::Tokens(16);
+        sched_config.prefill_chunk_tokens = units::Tokens(16);
+        sched_config.max_batch = kRequests;
+        sched_config.prefix_caching = sharing;
+        Scheduler scheduler(engine, sched_config);
+        for (std::size_t i = 0; i < kRequests; ++i) {
+            Request request;
+            request.analytic_prompt_tokens = units::Tokens(80);
+            request.max_new_tokens = units::Tokens(8);
+            request.prefix_group = 91;
+            request.prefix_tokens = units::Tokens(64);
+            scheduler.submit(std::move(request));
+        }
+        units::Bytes most_resident{0};
+        while (scheduler.step()) {
+            EXPECT_EQ(scheduler.check_invariants(), "");
+            if (scheduler.active() == kRequests) {
+                most_resident = std::max(most_resident,
+                                         scheduler.kv_bytes_in_use());
+            }
+        }
+        EXPECT_EQ(scheduler.kv_bytes_in_use(), units::Bytes(0));
+        return std::make_pair(scheduler.stats(), most_resident);
+    };
+
+    const auto [off, off_resident] = serve_burst(false);
+    const auto [on, on_resident] = serve_burst(true);
+    EXPECT_EQ(off.prefix_hits, 0u);
+    EXPECT_EQ(on.prefix_hits, kRequests - 1);
+    EXPECT_EQ(on.shared_blocks, units::Blocks((kRequests - 1) * 4));
+    EXPECT_EQ(on.saved_prefill_tokens,
+              units::Tokens((kRequests - 1) * 64));
+    EXPECT_EQ(on.prefill_tokens +
+                  units::Tokens((kRequests - 1) * 64),
+              off.prefill_tokens);
+    // All four resident at their final length (88 positions, 6
+    // groups each): the 4 shared groups are charged once, not four
+    // times.
+    EXPECT_EQ(off_resident, group * (kRequests * 6));
+    EXPECT_EQ(on_resident, group * (4 + kRequests * 2));
+}
+
 // ---- Stats bugfix sweep (regressions). ----
 
 TEST(Scheduler, MeanTpotExcludesSingleTokenRequests)
@@ -831,6 +1139,68 @@ TEST(Scheduler, ZeroGenerationRequestsAreExcludedFromTtft)
     EXPECT_DOUBLE_EQ(stats.max_ttft_s, n.ttft_s());
 }
 
+TEST(Scheduler, PercentilesMatchASortThenRankReference)
+{
+    // stats() reads nearest-rank percentiles straight off samples
+    // kept sorted on insert; they must equal sorting every finished
+    // request's latency and ranking it, whatever order requests
+    // finish in.  Staggered arrivals and mixed lengths make the
+    // finish order differ from the latency order.
+    const model::ModelConfig config = model::llama2_7b();
+    const Engine engine(sim::make_mugi(256), config);
+    SchedulerConfig sched_config;
+    sched_config.max_batch = 4;
+    sched_config.prefill_chunk_tokens = units::Tokens(32);
+    Scheduler scheduler(engine, sched_config);
+    for (std::size_t i = 0; i < 40; ++i) {
+        Request request;
+        request.analytic_prompt_tokens =
+            units::Tokens(8 + (i * 37) % 120);
+        request.max_new_tokens = units::Tokens(1 + (i * 11) % 13);
+        request.arrival_time_s =
+            1e-4 * static_cast<double>((i * 7) % 9);
+        scheduler.submit(std::move(request));
+    }
+
+    const auto nearest_rank = [](std::vector<double> samples,
+                                 double p) {
+        if (samples.empty()) {
+            return 0.0;
+        }
+        std::sort(samples.begin(), samples.end());
+        const auto rank = static_cast<std::size_t>(std::ceil(
+            p / 100.0 * static_cast<double>(samples.size())));
+        return samples[std::max<std::size_t>(rank, 1) - 1];
+    };
+    std::vector<double> ttft;
+    std::vector<double> tpot;
+    bool out_of_order = false;
+    for (bool more = true; more;) {
+        more = scheduler.step();
+        for (const FinishedRequest& f : scheduler.take_finished()) {
+            if (f.generated > units::Tokens(0)) {
+                out_of_order |=
+                    !ttft.empty() && f.ttft_s() < ttft.back();
+                ttft.push_back(f.ttft_s());
+            }
+            if (f.generated > units::Tokens(1)) {
+                tpot.push_back(f.tpot_s());
+            }
+        }
+        // Checked after every step, over the samples so far.
+        const ServerStats s = scheduler.stats();
+        EXPECT_EQ(s.p50_ttft_s, nearest_rank(ttft, 50.0));
+        EXPECT_EQ(s.p95_ttft_s, nearest_rank(ttft, 95.0));
+        EXPECT_EQ(s.p99_ttft_s, nearest_rank(ttft, 99.0));
+        EXPECT_EQ(s.p50_tpot_s, nearest_rank(tpot, 50.0));
+        EXPECT_EQ(s.p95_tpot_s, nearest_rank(tpot, 95.0));
+        EXPECT_EQ(s.p99_tpot_s, nearest_rank(tpot, 99.0));
+    }
+    EXPECT_EQ(ttft.size(), 40u);
+    EXPECT_TRUE(out_of_order)
+        << "the trace must finish requests out of TTFT order";
+}
+
 TEST(Scheduler, WatermarkSizedToTheLargestResidentPrecision)
 {
     // An INT4 admission beside a float resident must leave a
@@ -881,10 +1251,10 @@ TEST(Scheduler, EmptyPromptRetiresImmediatelyWithoutAsserts)
     // The assert-guarded branch in submit(): with asserts compiled
     // out (Release CI job), an empty functional prompt must retire
     // immediately instead of feeding token -1 into the model.
-#ifndef NDEBUG
-    GTEST_SKIP() << "assert-guarded path; exercised by the Release "
-                    "CI job";
-#else
+    if (support::kAssertsOn) {
+        GTEST_SKIP() << "assert-guarded path; exercised by the "
+                        "Release CI job";
+    }
     const model::ModelConfig config =
         model::llama2_70b().scaled_for_eval(2, 32, 64);
     auto transformer =
@@ -904,13 +1274,12 @@ TEST(Scheduler, EmptyPromptRetiresImmediatelyWithoutAsserts)
     ASSERT_EQ(finished.size(), 2u);
     const FinishedRequest& e =
         finished[0].id == empty_id ? finished[0] : finished[1];
-    EXPECT_EQ(e.generated, 0u);
+    EXPECT_EQ(e.generated, units::Tokens(0));
     EXPECT_TRUE(e.tokens.empty());
     EXPECT_EQ(e.ttft_s(), 0.0);
     const FinishedRequest& n =
         finished[0].id == empty_id ? finished[1] : finished[0];
-    EXPECT_EQ(n.generated, 2u);
-#endif
+    EXPECT_EQ(n.generated, units::Tokens(2));
 }
 
 // ---- Arrivals, clock and stats. ----

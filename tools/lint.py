@@ -22,6 +22,12 @@ Checks, each motivated by a concurrency-correctness contract:
    reason about -- the chaos gates assert invariants per site, so
    the contract each site simulates has to be written down.
 
+4. No ``#ifdef NDEBUG`` / ``#ifndef NDEBUG`` / ``#if defined(NDEBUG)``
+   / ``#if !defined(NDEBUG)`` under ``tests/``: a preprocessor-guarded
+   test body compiles in only one build type, so a type error in it
+   breaks the other build unseen.  Tests skip at runtime with
+   ``GTEST_SKIP()`` keyed on ``support::kAssertsOn`` instead.
+
 Exit status 0 when clean; 1 with one ``file:line: message`` per
 violation otherwise.
 """
@@ -34,6 +40,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
+TESTS = REPO / "tests"
 
 # Global-state entropy/time calls banned from src/ (deterministic
 # replay + thread-safety).  Word-boundary so e.g. `runtime(` or
@@ -48,6 +55,10 @@ THREAD_SAFETY_DIRS = ("serve", "server", "quant", "support")
 THREAD_SAFETY_RE = re.compile(r"Thread-safety\s*:")
 
 FAULT_POINT_RE = re.compile(r'MUGI_FAULT_POINT\(\s*"([^"]+)"\s*\)')
+
+NDEBUG_GUARD_RE = re.compile(
+    r"^\s*#\s*(?:ifn?def\s+NDEBUG\b|(?:el)?if\s+!?\s*defined\s*\(?\s*NDEBUG\b)"
+)
 
 
 def check_banned_calls(path: Path) -> list[str]:
@@ -72,6 +83,21 @@ def check_thread_safety_contract(path: Path) -> list[str]:
         "block (state whether the class is immutable, internally "
         "synchronized, or externally serialized)"
     ]
+
+
+def check_ndebug_guards(path: Path) -> list[str]:
+    problems = []
+    for lineno, line in enumerate(
+        path.read_text(encoding="utf-8").splitlines(), start=1
+    ):
+        if NDEBUG_GUARD_RE.search(line):
+            rel = path.relative_to(REPO)
+            problems.append(
+                f"{rel}:{lineno}: NDEBUG-guarded test code compiles in "
+                "one build type only; skip at runtime with GTEST_SKIP() "
+                "on support::kAssertsOn instead"
+            )
+    return problems
 
 
 def check_fault_sites_documented() -> list[str]:
@@ -113,6 +139,10 @@ def main() -> int:
             problems += check_thread_safety_contract(header)
 
     problems += check_fault_sites_documented()
+
+    for path in sorted(TESTS.rglob("*")):
+        if path.suffix in {".h", ".cc"}:
+            problems += check_ndebug_guards(path)
 
     if problems:
         print(f"tools/lint.py: {len(problems)} problem(s):")
