@@ -31,7 +31,8 @@ TransformerModel::TransformerModel(const ModelConfig& config,
 {
     std::mt19937 rng(seed);
     const std::size_t d = config_.d_model;
-    const std::size_t kv_dim = config_.num_kv_heads * config_.head_dim();
+    const std::size_t kv_dim =
+        config_.num_kv_heads * config_.head_dim();
     // Variance-aware init: the pre-norm input is ~unit RMS, so a
     // weight std of a/sqrt(fan_in) yields outputs ~ N(0, a^2).  The
     // chosen gains land the nonlinear input distributions in the
@@ -58,8 +59,8 @@ TransformerModel::TransformerModel(const ModelConfig& config,
         w.wv = gaussian_matrix(d, kv_dim, rng, inv_sqrt_d);
         w.wo = gaussian_matrix(d, d, rng, inv_sqrt_d * resid_gain);
         if (config_.gated_ffn()) {
-            w.w_gate =
-                gaussian_matrix(d, config_.d_ff, rng, 2.0f * inv_sqrt_d);
+            w.w_gate = gaussian_matrix(d, config_.d_ff, rng,
+                                       2.0f * inv_sqrt_d);
         }
         w.w_up = gaussian_matrix(d, config_.d_ff, rng,
                                  2.0f * inv_sqrt_d);
@@ -88,7 +89,8 @@ TransformerModel::hooks_for(std::size_t layer) const
     if (!hooks_enabled_) {
         return kExactHooks;
     }
-    if (layer < layer_hooks_.size() && layer_hooks_[layer].has_value()) {
+    if (layer < layer_hooks_.size() &&
+        layer_hooks_[layer].has_value()) {
         return *layer_hooks_[layer];
     }
     return global_hooks_;
@@ -293,16 +295,11 @@ TransformerModel::decode_layer(std::size_t layer_idx,
 }
 
 void
-TransformerModel::attend_one(const float* q_row, const float* k_row,
-                             const float* v_row, quant::KvCache& cache,
-                             const NonlinearHooks& hooks,
-                             float* out_row) const
+TransformerModel::append_kv(const float* k_row, const float* v_row,
+                            quant::KvCache& cache) const
 {
     const std::size_t kv_heads = config_.num_kv_heads;
     const std::size_t hd = config_.head_dim();
-    const std::size_t group = config_.gqa_group();
-
-    // Reshape the new K/V row into per-head matrices and append.
     support::MatrixF k_heads(kv_heads, hd);
     support::MatrixF v_heads(kv_heads, hd);
     for (std::size_t h = 0; h < kv_heads; ++h) {
@@ -312,46 +309,119 @@ TransformerModel::attend_one(const float* q_row, const float* k_row,
         }
     }
     cache.append(k_heads, v_heads);
+}
+
+void
+TransformerModel::attend_head(const float* q_head,
+                              const support::MatrixF& k_scratch,
+                              const support::MatrixF& v_scratch,
+                              std::size_t positions,
+                              const NonlinearHooks& hooks,
+                              float* out_head) const
+{
+    const std::size_t hd = config_.head_dim();
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    support::MatrixF scores(1, positions, 0.0f);
+    for (std::size_t s = 0; s < positions; ++s) {
+        const float* krow = k_scratch.row_data(s);
+        float dot = 0.0f;
+        for (std::size_t i = 0; i < hd; ++i) {
+            dot += q_head[i] * krow[i];
+        }
+        scores.at(0, s) = dot * scale;
+    }
+    softmax_rows(scores, hooks.softmax_exp);
+    for (std::size_t s = 0; s < positions; ++s) {
+        const float p = scores.at(0, s);
+        if (p == 0.0f) continue;
+        const float* vrow = v_scratch.row_data(s);
+        for (std::size_t i = 0; i < hd; ++i) {
+            out_head[i] += p * vrow[i];
+        }
+    }
+}
+
+void
+TransformerModel::attend_one(const float* q_row, const float* k_row,
+                             const float* v_row,
+                             quant::KvCache& cache,
+                             const NonlinearHooks& hooks,
+                             float* out_row) const
+{
+    const std::size_t kv_heads = config_.num_kv_heads;
+    const std::size_t hd = config_.head_dim();
+    const std::size_t group = config_.gqa_group();
+
+    append_kv(k_row, v_row, cache);
     const std::size_t S = cache.length().value();
 
-    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
     // Batched KV gather: decode kv head kv_h's whole resident
     // sequence into contiguous [S, hd] scratch once, and let every
     // query head of its GQA group read it -- one block-table walk per
     // kv head instead of one cache read per (head, position).  The
-    // per-vector decode is the arithmetic read_key/read_value ran, and
-    // a GQA group's query heads are consecutive, so the kv_h-outer
-    // order visits heads in the same ascending order as before and
-    // every score and output byte matches the per-position walk.
+    // per-vector decode is the arithmetic read_key/read_value ran,
+    // and a GQA group's query heads are consecutive, so the
+    // kv_h-outer order visits heads in ascending order.
     assert(config_.num_heads == kv_heads * group);
     support::MatrixF k_scratch(S, hd);
     support::MatrixF v_scratch(S, hd);
     for (std::size_t kv_h = 0; kv_h < kv_heads; ++kv_h) {
-        cache.read_keys(kv_h, units::Positions(0), units::Positions(S),
-                        k_scratch.row_data(0));
+        cache.read_keys(kv_h, units::Positions(0),
+                        units::Positions(S), k_scratch.row_data(0));
         cache.read_values(kv_h, units::Positions(0),
                           units::Positions(S), v_scratch.row_data(0));
         for (std::size_t g = 0; g < group; ++g) {
             const std::size_t h = kv_h * group + g;
-            support::MatrixF scores(1, S, 0.0f);
-            const float* qrow = q_row + h * hd;
-            for (std::size_t s = 0; s < S; ++s) {
-                const float* krow = k_scratch.row_data(s);
-                float dot = 0.0f;
-                for (std::size_t i = 0; i < hd; ++i) {
-                    dot += qrow[i] * krow[i];
-                }
-                scores.at(0, s) = dot * scale;
-            }
-            softmax_rows(scores, hooks.softmax_exp);
-            float* orow = out_row + h * hd;
-            for (std::size_t s = 0; s < S; ++s) {
-                const float p = scores.at(0, s);
-                if (p == 0.0f) continue;
-                const float* vrow = v_scratch.row_data(s);
-                for (std::size_t i = 0; i < hd; ++i) {
-                    orow[i] += p * vrow[i];
-                }
+            attend_head(q_row + h * hd, k_scratch, v_scratch, S,
+                        hooks, out_row + h * hd);
+        }
+    }
+}
+
+void
+TransformerModel::attend_run(
+    support::MatrixF& q, support::MatrixF& k,
+    const support::MatrixF& v, std::size_t begin, std::size_t end,
+    quant::KvCache& cache,
+    std::span<const NonlinearHooks* const> hooks,
+    support::MatrixF& out) const
+{
+    const std::size_t heads = config_.num_heads;
+    const std::size_t kv_heads = config_.num_kv_heads;
+    const std::size_t hd = config_.head_dim();
+    const std::size_t group = config_.gqa_group();
+    const std::size_t base = cache.length().value();
+
+    // Row begin + j sits at position base + j: rotate it there and
+    // append it, in row order, before any row attends.
+    for (std::size_t r = begin; r < end; ++r) {
+        if (config_.uses_rope()) {
+            const std::size_t pos = base + (r - begin);
+            rope_rotate_row(q.row_data(r), heads, hd, pos);
+            rope_rotate_row(k.row_data(r), kv_heads, hd, pos);
+        }
+        append_kv(k.row_data(r), v.row_data(r), cache);
+    }
+    // One gather per kv head covers the whole run.  KV vectors are
+    // quantized per position, so a later row's append never changes
+    // the bytes an earlier row reads: attending a prefix of the
+    // grown scratch is what attend_one sees after that row's append.
+    assert(heads == kv_heads * group);
+    const std::size_t S = cache.length().value();
+    support::MatrixF k_scratch(S, hd);
+    support::MatrixF v_scratch(S, hd);
+    for (std::size_t kv_h = 0; kv_h < kv_heads; ++kv_h) {
+        cache.read_keys(kv_h, units::Positions(0),
+                        units::Positions(S), k_scratch.row_data(0));
+        cache.read_values(kv_h, units::Positions(0),
+                          units::Positions(S), v_scratch.row_data(0));
+        for (std::size_t r = begin; r < end; ++r) {
+            const std::size_t positions = base + (r - begin) + 1;
+            for (std::size_t g = 0; g < group; ++g) {
+                const std::size_t h = kv_h * group + g;
+                attend_head(q.row_data(r) + h * hd, k_scratch,
+                            v_scratch, positions, *hooks[r],
+                            out.row_data(r) + h * hd);
             }
         }
     }
@@ -408,9 +478,6 @@ TransformerModel::decode_layer_batch(
     assert(caches.size() == batch && hooks.size() == batch);
     const LayerWeights& w = layers_[layer_idx];
     const std::size_t d = config_.d_model;
-    const std::size_t heads = config_.num_heads;
-    const std::size_t kv_heads = config_.num_kv_heads;
-    const std::size_t hd = config_.head_dim();
     // The profiling capture appends every row's nonlinear-input
     // stream to caller state in batch-row order; keep that ordering
     // by running captured layers serially.
@@ -421,18 +488,20 @@ TransformerModel::decode_layer_batch(
     // of a pre-zeroed output and runs the identical per-cell float-op
     // sequence as the serial loop, so the parallel_for join (the
     // stage barrier) reproduces the serial bytes exactly.
-    const auto for_row_ranges =
-        [&](const std::function<void(std::size_t, std::size_t)>& body) {
-            if (pool != nullptr && batch > 1) {
-                const auto ranges =
-                    support::split_ranges(batch, pool->num_threads());
-                pool->parallel_for(ranges.size(), [&](std::size_t t) {
-                    body(ranges[t].first, ranges[t].second);
-                });
-            } else {
-                body(0, batch);
-            }
-        };
+    using RangeBody = std::function<void(std::size_t, std::size_t)>;
+    const auto for_ranges = [](support::ThreadPool* on,
+                               std::size_t count,
+                               const RangeBody& body) {
+        if (on != nullptr && count > 1) {
+            const auto ranges =
+                support::split_ranges(count, on->num_threads());
+            on->parallel_for(ranges.size(), [&](std::size_t t) {
+                body(ranges[t].first, ranges[t].second);
+            });
+        } else {
+            body(0, count);
+        }
+    };
     const auto gemm = [&](const support::MatrixF& a,
                           const support::MatrixF& b) {
         support::MatrixF c(a.rows(), b.cols(), 0.0f);
@@ -463,7 +532,8 @@ TransformerModel::decode_layer_batch(
         const support::MatrixF* const weights[3] = {&w.wq, &w.wk,
                                                     &w.wv};
         if (pool != nullptr && batch > 1) {
-            const auto ranges = support::split_ranges(batch, pool->num_threads());
+            const auto ranges =
+                support::split_ranges(batch, pool->num_threads());
             pool->parallel_for(3 * ranges.size(), [&](std::size_t t) {
                 const auto& range = ranges[t % ranges.size()];
                 const std::size_t proj = t / ranges.size();
@@ -478,18 +548,35 @@ TransformerModel::decode_layer_batch(
             }
         }
     }
-    support::MatrixF attn_out(batch, d, 0.0f);
-    for_row_ranges([&](std::size_t begin, std::size_t end) {
-        for (std::size_t r = begin; r < end; ++r) {
-            if (config_.uses_rope()) {
-                const std::size_t pos = caches[r]->length().value();
-                rope_rotate_row(q.row_data(r), heads, hd, pos);
-                rope_rotate_row(k.row_data(r), kv_heads, hd, pos);
-            }
-            attend_one(q.row_data(r), k.row_data(r), v.row_data(r),
-                       *caches[r], *hooks[r], attn_out.row_data(r));
+    // Causal runs: maximal ranges of consecutive rows on one cache,
+    // attended in row order.  Runs fan out across the pool only when
+    // every run's cache is distinct, so no two tasks touch one cache.
+    std::vector<std::pair<std::size_t, std::size_t>> runs;
+    for (std::size_t r = 0; r < batch; ++r) {
+        if (r == 0 || caches[r] != caches[r - 1]) {
+            runs.emplace_back(r, r + 1);
+        } else {
+            runs.back().second = r + 1;
         }
-    });
+    }
+    std::vector<const quant::KvCache*> run_caches;
+    run_caches.reserve(runs.size());
+    for (const auto& run : runs) {
+        run_caches.push_back(caches[run.first]);
+    }
+    std::sort(run_caches.begin(), run_caches.end());
+    const bool distinct_caches =
+        std::adjacent_find(run_caches.begin(), run_caches.end()) ==
+        run_caches.end();
+    support::MatrixF attn_out(batch, d, 0.0f);
+    for_ranges(distinct_caches ? pool : nullptr, runs.size(),
+               [&](std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i) {
+                       const auto [first, last] = runs[i];
+                       attend_run(q, k, v, first, last,
+                                  *caches[first], hooks, attn_out);
+                   }
+               });
     support::MatrixF out = gemm(attn_out, w.wo);
     for (std::size_t i = 0; i < out.size(); ++i) {
         out.data()[i] += x.data()[i];
@@ -505,7 +592,8 @@ TransformerModel::decode_layer_batch(
     if (config_.gated_ffn()) {
         support::MatrixF gate = gemm(x_norm, w.w_gate);
         const support::MatrixF up = gemm(x_norm, w.w_up);
-        for_row_ranges([&](std::size_t begin, std::size_t end) {
+        for_ranges(pool, batch, [&](std::size_t begin,
+                                    std::size_t end) {
             for (std::size_t r = begin; r < end; ++r) {
                 float* grow = gate.row_data(r);
                 apply_activation_span(std::span<float>(grow, ff),
@@ -520,7 +608,8 @@ TransformerModel::decode_layer_batch(
         f = gemm(gate, w.w_down);
     } else {
         support::MatrixF hidden = gemm(x_norm, w.w_up);
-        for_row_ranges([&](std::size_t begin, std::size_t end) {
+        for_ranges(pool, batch, [&](std::size_t begin,
+                                    std::size_t end) {
             for (std::size_t r = begin; r < end; ++r) {
                 apply_activation_span(
                     std::span<float>(hidden.row_data(r), ff),

@@ -40,8 +40,9 @@ struct NonlinearHooks {
 };
 
 /** Profiling callback: (op, layer, raw nonlinear inputs). */
-using CaptureFn = std::function<void(nonlinear::NonlinearOp, std::size_t,
-                                     std::span<const float>)>;
+using CaptureFn =
+    std::function<void(nonlinear::NonlinearOp, std::size_t,
+                       std::span<const float>)>;
 
 /** Weights of one transformer layer. */
 struct LayerWeights {
@@ -69,9 +70,12 @@ class TransformerModel {
     const ModelConfig& config() const { return config_; }
 
     /** Set the hooks used for every layer. */
-    void set_hooks(const NonlinearHooks& hooks) { global_hooks_ = hooks; }
+    void set_hooks(const NonlinearHooks& hooks)
+    {
+        global_hooks_ = hooks;
+    }
 
-    /** Per-layer override (Fig. 7 per-layer tuning); nullopt = global. */
+    /** Per-layer override (Fig. 7 tuning); nullopt = global. */
     void set_layer_hooks(std::size_t layer,
                          std::optional<NonlinearHooks> hooks);
 
@@ -85,7 +89,10 @@ class TransformerModel {
     bool hooks_enabled() const { return hooks_enabled_; }
 
     /** Install a profiling capture (Fig. 4); empty disables. */
-    void set_capture(CaptureFn capture) { capture_ = std::move(capture); }
+    void set_capture(CaptureFn capture)
+    {
+        capture_ = std::move(capture);
+    }
 
     /**
      * Fake-quantize every weight matrix through INT4 group
@@ -99,7 +106,8 @@ class TransformerModel {
      * Full-sequence forward pass over token ids; returns next-token
      * logits per position, shape [T, vocab].
      */
-    support::MatrixF forward_tokens(std::span<const int> tokens) const;
+    support::MatrixF forward_tokens(
+        std::span<const int> tokens) const;
 
     /**
      * Forward pass over raw embeddings (vision-style input), shape
@@ -112,12 +120,16 @@ class TransformerModel {
     std::span<const float> embedding(int token) const;
 
     std::size_t num_layers() const { return layers_.size(); }
-    const LayerWeights& layer(std::size_t i) const { return layers_[i]; }
+    const LayerWeights& layer(std::size_t i) const
+    {
+        return layers_[i];
+    }
     LayerWeights& mutable_layer(std::size_t i) { return layers_[i]; }
 
     /**
-     * One decode layer step against a KV cache holding the context.
-     * Exposed for DecodeSession; @p x is the [1, d] layer input.
+     * One decode layer step against a KV cache holding the context;
+     * @p x is the [1, d] layer input.  DecodeSession runs on it, and
+     * it is the sequential oracle decode_layer_batch is held to.
      */
     support::MatrixF decode_layer(std::size_t layer_idx,
                                   const support::MatrixF& x,
@@ -135,31 +147,42 @@ class TransformerModel {
                                   const NonlinearHooks& hooks) const;
 
     /**
-     * Fused batched decode layer: @p x stacks one token per batch
-     * row ([B, d]); each projection (Q/K/V, output, FFN) runs as one
-     * batched GEMM over the whole stack (linear_batched streams each
-     * weight row once per step instead of once per session), while
-     * RoPE, KV append, attention, softmax and the FFN activation run
-     * per row against row i's own cache (@p caches[i]) and nonlinear
-     * hooks (@p hooks[i]).  Weights are read live from the layer, so
-     * mutation between steps (apply_woq, mutable_layer) behaves
-     * exactly as in the sequential path.  Row i's output is
-     * bit-identical to decode_layer(layer_idx, x.row(i), *caches[i],
-     * *hooks[i]) -- the fused-step contract serve::Engine::step
-     * relies on (enforced by tests/serve/engine_test.cc).  Distinct
-     * sessions only: a session stepped twice in one batch must go
-     * through the sequential path so its second token sees the
-     * first.
+     * Batched layer over a stack of token rows ([T, d]): each
+     * projection (Q/K/V, output, FFN) runs as one batched GEMM over
+     * the whole stack (linear_batched streams each weight row once
+     * per call instead of once per row), while RoPE, KV append,
+     * attention, softmax and the FFN activation run per row against
+     * row r's cache (@p caches[r]) and nonlinear hooks (@p hooks[r]).
+     * Weights are read live from the layer, so mutation between
+     * steps (apply_woq, mutable_layer) behaves exactly as in the
+     * sequential path.
+     *
+     * Consecutive rows that share a cache form a *causal run* -- a
+     * prefill chunk, or a session listed twice in a row of a decode
+     * batch.  A run RoPE-rotates and appends every row's K/V at
+     * cache.length() in row order, gathers each KV head once over
+     * the grown cache, and lets its j-th row attend exactly the
+     * first base + j + 1 positions (base = the length before the
+     * run).  Runs are processed in row order, so rows of one cache
+     * in separate runs also see each other in order.  Row r's output
+     * is therefore bit-identical to feeding the rows one at a time,
+     * in row order, through decode_layer(layer_idx, x.row(r),
+     * *caches[r], *hooks[r]) -- the contract serve::Engine's fused
+     * decode and batched prefill rely on (enforced by
+     * tests/serve/engine_test.cc).
      *
      * With a non-null @p pool the layer's stages fan out across its
-     * workers -- per-projection row-range tasks for the batched GEMMs,
-     * per-row-range tasks for RoPE + attention and the FFN activation
-     * -- joining at each stage boundary.  Every task writes a disjoint
-     * row range and runs the identical per-cell float-op sequence, so
-     * the pooled result is bit-identical to pool == nullptr (pinned by
-     * tests/concurrency/pooled_step_test.cc).  When a profiling
+     * workers -- per-projection row-range tasks for the batched
+     * GEMMs, run-range tasks for RoPE + attention, row-range tasks
+     * for the FFN activation -- joining at each stage boundary.  The
+     * attention stage splits only when every run has a distinct
+     * cache; otherwise it runs serially, so two rows of one cache
+     * never go to different tasks.  Every task writes a disjoint row
+     * range and runs the identical per-cell float-op sequence, so
+     * the pooled result is bit-identical to pool == nullptr (pinned
+     * by tests/concurrency/pooled_step_test.cc).  When a profiling
      * capture is installed the layer runs serially regardless (the
-     * capture stream is ordered by batch row).
+     * capture stream is ordered by layer, then row).
      */
     support::MatrixF decode_layer_batch(
         std::size_t layer_idx, const support::MatrixF& x,
@@ -184,27 +207,53 @@ class TransformerModel {
                          const support::MatrixF& x_norm,
                          const NonlinearHooks& hooks) const;
     void norm(const support::MatrixF& in, std::span<const float> gain,
-              std::span<const float> bias, support::MatrixF& out) const;
+              std::span<const float> bias,
+              support::MatrixF& out) const;
     /** Profiling capture for layer @p layer_idx's FFN activation
         (empty when no capture is installed); shared by ffn() and
         decode_layer_batch so both paths report identically. */
     std::function<void(std::span<const float>)>
     activation_capture(std::size_t layer_idx) const;
+    /** Reshape one row's K/V into per-head vectors and append. */
+    void append_kv(const float* k_row, const float* v_row,
+                   quant::KvCache& cache) const;
     /**
-     * One token's cached attention: reshape-and-append the new K/V
-     * row, score the query against the cache, softmax with
-     * @p hooks.softmax_exp, and accumulate the weighted values into
-     * @p out_row (zero-initialized, [d_model]).  Shared by
-     * decode_layer and decode_layer_batch so both paths execute the
-     * identical float-op sequence.  KV reads are batched: each kv
-     * head's resident sequence is gathered into contiguous
-     * [positions, head_dim] scratch once (KvCache::read_keys /
-     * read_values) and reused by every query head of its GQA group,
-     * instead of decoding position-at-a-time per head.
+     * One query head's attention over the first @p positions rows of
+     * a KV head's gathered [positions, head_dim] scratch: score,
+     * softmax with @p hooks.softmax_exp, and accumulate the weighted
+     * values into @p out_head (zero-initialized, [head_dim]).  Shared
+     * by attend_one and attend_run so both execute the identical
+     * float-op sequence.
+     */
+    void attend_head(const float* q_head,
+                     const support::MatrixF& k_scratch,
+                     const support::MatrixF& v_scratch,
+                     std::size_t positions,
+                     const NonlinearHooks& hooks,
+                     float* out_head) const;
+    /**
+     * One token's cached attention (decode_layer): append the new
+     * K/V row, gather each KV head's whole resident sequence into
+     * contiguous scratch once (KvCache::read_keys / read_values) for
+     * every query head of its GQA group, and attend it into
+     * @p out_row (zero-initialized, [d_model]).
      */
     void attend_one(const float* q_row, const float* k_row,
                     const float* v_row, quant::KvCache& cache,
-                    const NonlinearHooks& hooks, float* out_row) const;
+                    const NonlinearHooks& hooks,
+                    float* out_row) const;
+    /**
+     * The causal run [@p begin, @p end) of decode_layer_batch: all
+     * rows share @p cache.  RoPE-rotates q/k at base + j, appends
+     * every row, gathers each KV head once over [0, base + T), and
+     * row begin + j attends its first base + j + 1 positions into
+     * @p out's row.
+     */
+    void attend_run(support::MatrixF& q, support::MatrixF& k,
+                    const support::MatrixF& v, std::size_t begin,
+                    std::size_t end, quant::KvCache& cache,
+                    std::span<const NonlinearHooks* const> hooks,
+                    support::MatrixF& out) const;
 
     ModelConfig config_;
     std::vector<LayerWeights> layers_;

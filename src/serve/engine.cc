@@ -30,44 +30,40 @@ gemm_charge(std::size_t n, std::size_t k, std::size_t b,
 }
 
 /**
- * Charge of decoding @p batch tokens' projections (all layers + LM
- * head).  @p fused runs each projection as one GEMM over the whole
- * batch -- the activations share the array's column tiles, so
- * cycles/sweeps amortize to ceil(batch / W) -- while the sequential
- * path pays each token's single-column GEMMs separately.
- * Subscriptions (the MAC-equivalent count) are identical either way.
+ * Charge of one forward pass's projection GEMMs (all layers + LM
+ * head) over @p rows token rows, each projection run as one GEMM
+ * across the rows -- the activations share the array's column tiles,
+ * so cycles/sweeps amortize to ceil(rows / W) -- with the LM head
+ * applied to @p head_rows of them.  A fused decode batch scores every
+ * row; a prefill chunk scores only its last; the sequential decode
+ * path pays one single-row pass per token.  Subscriptions (the
+ * MAC-equivalent count) depend only on the row counts.
  */
 vlp::GemmStats
-projection_charge(const model::ModelConfig& config,
-                  const sim::DesignConfig& design, std::size_t batch,
-                  bool fused)
+forward_charge(const model::ModelConfig& config,
+               const sim::DesignConfig& design, std::size_t rows,
+               std::size_t head_rows)
 {
     const std::size_t d = config.d_model;
     const std::size_t kv = config.num_kv_heads * config.head_dim();
     const std::size_t ff = config.d_ff;
-    const std::size_t per_gemm_b = fused ? batch : 1;
-    const std::size_t repeats = fused ? 1 : batch;
 
     vlp::GemmStats layer;
-    layer += gemm_charge(d, d, per_gemm_b, design);   // wq
-    layer += gemm_charge(kv, d, per_gemm_b, design);  // wk
-    layer += gemm_charge(kv, d, per_gemm_b, design);  // wv
-    layer += gemm_charge(d, d, per_gemm_b, design);   // wo
+    layer += gemm_charge(d, d, rows, design);   // wq
+    layer += gemm_charge(kv, d, rows, design);  // wk
+    layer += gemm_charge(kv, d, rows, design);  // wv
+    layer += gemm_charge(d, d, rows, design);   // wo
     if (config.gated_ffn()) {
-        layer += gemm_charge(ff, d, per_gemm_b, design);  // gate
+        layer += gemm_charge(ff, d, rows, design);  // gate
     }
-    layer += gemm_charge(ff, d, per_gemm_b, design);  // up
-    layer += gemm_charge(d, ff, per_gemm_b, design);  // down
+    layer += gemm_charge(ff, d, rows, design);  // up
+    layer += gemm_charge(d, ff, rows, design);  // down
 
-    vlp::GemmStats step;
-    for (std::size_t l = 0; l < config.num_layers; ++l) {
-        step += layer;
-    }
-    step += gemm_charge(config.vocab, d, per_gemm_b, design);
     vlp::GemmStats total;
-    for (std::size_t r = 0; r < repeats; ++r) {
-        total += step;
+    for (std::size_t l = 0; l < config.num_layers; ++l) {
+        total += layer;
     }
+    total += gemm_charge(config.vocab, d, head_rows, design);
     return total;
 }
 
@@ -125,7 +121,8 @@ Engine::create_session(const SessionOptions& options) const
     // through it, so no acquire/release ordering is required.
     Session session(
         next_session_id_.fetch_add(1, std::memory_order_relaxed),
-        options.kv_precision, options.initial_context.value(), layers);
+        options.kv_precision, options.initial_context.value(),
+        layers);
     if (model_) {
         session.caches_.reserve(layers);
         for (std::size_t l = 0; l < layers; ++l) {
@@ -199,32 +196,42 @@ Engine::decode_token(Session& session, int token) const
     return final_norm_logits(x).data();
 }
 
+support::MatrixF
+Engine::forward_rows(std::span<Session* const> sessions,
+                     std::span<const int> tokens,
+                     support::ThreadPool* pool) const
+{
+    assert(model_);
+    assert(sessions.size() == tokens.size());
+    const model::ModelConfig& config = *model_config_;
+    const std::size_t rows = tokens.size();
+
+    // Stack the rows' token embeddings into one activation matrix.
+    support::MatrixF x(rows, config.d_model);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const std::span<const float> e = model_->embedding(tokens[i]);
+        std::copy(e.begin(), e.end(), x.row_data(i));
+    }
+    std::vector<quant::KvCache*> caches(rows);
+    std::vector<const model::NonlinearHooks*> hooks(rows);
+    for (std::size_t l = 0; l < config.num_layers; ++l) {
+        for (std::size_t i = 0; i < rows; ++i) {
+            caches[i] = &sessions[i]->caches_[l];
+            hooks[i] = &sessions[i]->hooks_for(l);
+        }
+        x = model_->decode_layer_batch(l, x, caches, hooks, pool);
+    }
+    return x;
+}
+
 void
 Engine::step_decode_fused(const StepPlan& plan, StepResult& result,
                           support::ThreadPool* pool) const
 {
-    assert(model_);
-    const model::ModelConfig& config = *model_config_;
     const std::size_t batch = plan.decode_sessions.size();
-
-    // Stack the batch's token embeddings into one activation matrix.
-    support::MatrixF x(batch, config.d_model);
-    for (std::size_t i = 0; i < batch; ++i) {
-        const std::span<const float> e =
-            model_->embedding(plan.decode_tokens[i]);
-        std::copy(e.begin(), e.end(), x.row_data(i));
-    }
-    std::vector<quant::KvCache*> caches(batch);
-    std::vector<const model::NonlinearHooks*> hooks(batch);
-    for (std::size_t l = 0; l < config.num_layers; ++l) {
-        for (std::size_t i = 0; i < batch; ++i) {
-            Session& session = *plan.decode_sessions[i];
-            caches[i] = &session.caches_[l];
-            hooks[i] = &session.hooks_for(l);
-        }
-        x = model_->decode_layer_batch(l, x, caches, hooks, pool);
-    }
-    const support::MatrixF logits = final_norm_logits(x, pool);
+    const support::MatrixF logits = final_norm_logits(
+        forward_rows(plan.decode_sessions, plan.decode_tokens, pool),
+        pool);
 
     for (std::size_t i = 0; i < batch; ++i) {
         Session& session = *plan.decode_sessions[i];
@@ -278,18 +285,16 @@ Engine::step(const StepPlan& plan) const
     std::vector<std::size_t> contexts;
     contexts.reserve(D);
     std::unordered_map<const Session*, std::size_t> occurrences;
-    bool duplicate_sessions = false;
     for (std::size_t i = 0; i < D; ++i) {
-        const std::size_t seen = occurrences[plan.decode_sessions[i]]++;
-        duplicate_sessions |= seen > 0;
-        contexts.push_back(
-            plan.decode_sessions[i]->position().value() + 1 + seen);
+        const Session* session = plan.decode_sessions[i];
+        const std::size_t seen = occurrences[session]++;
+        contexts.push_back(session->position().value() + 1 + seen);
     }
     std::vector<model::PrefillChunk> chunks;
     chunks.reserve(plan.prefills.size());
     for (const StepPlan::PrefillEntry& entry : plan.prefills) {
-        chunks.push_back(
-            {entry.session->position().value(), entry.size().value()});
+        chunks.push_back({entry.session->position().value(),
+                          entry.size().value()});
     }
     const model::Workload workload = model::build_mixed_step_workload(
         *model_config_, contexts, chunks);
@@ -310,19 +315,18 @@ Engine::step(const StepPlan& plan) const
     }
     const auto wall_start = std::chrono::steady_clock::now();
     const std::uint64_t busy_start = pool ? pool->busy_ns() : 0;
-    const std::uint64_t tasks_start = pool ? pool->tasks_completed() : 0;
+    const std::uint64_t tasks_start =
+        pool ? pool->tasks_completed() : 0;
 
     // Fused batched decode: one projection GEMM per layer over the
     // stacked batch, bit-identical to per-session stepping.  A
-    // duplicated session is a data dependency (its second token must
-    // attend the first), so such batches take the sequential path --
-    // as does a batch of one, which has nothing to fuse (the charges
-    // agree exactly there, so the paths are indistinguishable).
-    if (functional_decode && plan.fused_decode && !duplicate_sessions &&
-        D > 1) {
+    // session listed twice is two rows of one cache, which
+    // decode_layer_batch attends in row order, so its second token
+    // sees the first.  fused_decode = false keeps the token-at-a-time
+    // path as the sequential oracle.
+    if (functional_decode && plan.fused_decode) {
         step_decode_fused(plan, result, pool.get());
-        result.gemm +=
-            projection_charge(*model_config_, design_, D, true);
+        result.gemm += forward_charge(*model_config_, design_, D, D);
     } else {
         for (std::size_t i = 0; i < D; ++i) {
             Session& session = *plan.decode_sessions[i];
@@ -342,8 +346,10 @@ Engine::step(const StepPlan& plan) const
             result.outputs.push_back(std::move(out));
         }
         if (functional_decode) {
-            result.gemm +=
-                projection_charge(*model_config_, design_, D, false);
+            for (std::size_t i = 0; i < D; ++i) {
+                result.gemm +=
+                    forward_charge(*model_config_, design_, 1, 1);
+            }
         }
     }
     const std::size_t P = plan.prefills.size();
@@ -351,9 +357,11 @@ Engine::step(const StepPlan& plan) const
     // Per-chunk prefill tasks: each chunk streams its own session's
     // tokens, so chunks over pairwise-distinct sessions that also
     // don't appear among the decode entries are independent and fan
-    // out across the pool (outputs and charges are still assembled in
-    // plan order below, and each chunk runs the identical serial
-    // token loop -- bit-identical to the serial plan walk).
+    // out across the pool, each running its layers serially (outputs
+    // and charges are still assembled in plan order below).  The
+    // serial plan walk instead hands the pool to each chunk's layers,
+    // whose row-range GEMM tasks it splits.  Either way every chunk
+    // runs the identical float-op sequence as threads == 0.
     bool parallel_prefill = pool != nullptr && P > 1;
     if (parallel_prefill) {
         std::unordered_map<const Session*, std::size_t> prefill_seen;
@@ -369,7 +377,7 @@ Engine::step(const StepPlan& plan) const
         pool->parallel_for(P, [&](std::size_t i) {
             const StepPlan::PrefillEntry& entry = plan.prefills[i];
             chunk_logits[i] =
-                prefill_chunk(*entry.session, entry.tokens);
+                prefill_rows(*entry.session, entry.tokens, nullptr);
         });
     }
     for (std::size_t i = 0; i < P; ++i) {
@@ -378,17 +386,18 @@ Engine::step(const StepPlan& plan) const
         StepResult::SessionOutput out;
         out.session_id = session.id();
         if (!entry.tokens.empty()) {
-            out.logits = parallel_prefill
-                             ? std::move(chunk_logits[i])
-                             : prefill_chunk(session, entry.tokens);
+            out.logits =
+                parallel_prefill
+                    ? std::move(chunk_logits[i])
+                    : prefill_rows(session, entry.tokens, pool.get());
             out.next_token = static_cast<int>(std::distance(
                 out.logits.begin(),
                 std::max_element(out.logits.begin(),
                                  out.logits.end())));
-            // Prefill decodes token by token: sequential charges.
-            result.gemm += projection_charge(*model_config_, design_,
-                                             entry.tokens.size(),
-                                             false);
+            // One fused GEMM per projection over the chunk; the LM
+            // head scores only its last row.
+            result.gemm += forward_charge(*model_config_, design_,
+                                          entry.tokens.size(), 1);
         } else {
             advance_context(session, entry.analytic_tokens);
         }
@@ -445,13 +454,30 @@ std::vector<float>
 Engine::prefill_chunk(Session& session,
                       std::span<const int> tokens) const
 {
+    return prefill_rows(session, tokens, nullptr);
+}
+
+std::vector<float>
+Engine::prefill_rows(Session& session, std::span<const int> tokens,
+                     support::ThreadPool* pool) const
+{
     assert(model_ && "chunked prefill needs a functional model");
-    std::vector<float> logits;
-    for (const int token : tokens) {
-        logits = decode_token(session, token);
-        session.position_ += 1;
+    const std::size_t T = tokens.size();
+    if (T == 0) {
+        return {};
     }
-    return logits;
+    // Every row names this session: the chunk is one causal run,
+    // appended in row order and attended with one KV gather per head
+    // and layer.
+    const std::vector<Session*> rows(T, &session);
+    const support::MatrixF x = forward_rows(rows, tokens, pool);
+    session.position_ += T;
+    // Only the last row's logits leave the chunk.
+    const std::size_t d = model_config_->d_model;
+    support::MatrixF last(1, d);
+    std::copy(x.row_data(T - 1), x.row_data(T - 1) + d,
+              last.row_data(0));
+    return final_norm_logits(last).data();
 }
 
 void
@@ -477,7 +503,8 @@ SystemReport
 Engine::evaluate_decode(const model::ModelConfig& model,
                         std::size_t batch, std::size_t context) const
 {
-    return evaluate(model::build_decode_workload(model, batch, context));
+    return evaluate(
+        model::build_decode_workload(model, batch, context));
 }
 
 SystemReport

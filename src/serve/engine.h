@@ -60,7 +60,7 @@
 namespace mugi {
 namespace serve {
 
-/** Combined evaluation of one workload (or batched step) on a design. */
+/** Combined evaluation of one workload (or batched step). */
 struct SystemReport {
     sim::PerfReport perf;
     sim::AreaBreakdown area;
@@ -92,14 +92,16 @@ struct StepResult {
     SystemReport report;
     /**
      * Simulated Mugi-array charge of this step's *functional*
-     * projection GEMMs (QKV / output / FFN / LM head for every
-     * decoded or prefilled token), per the VLP cycle model
-     * (vlp::vlp_gemm_mugi_cycles).  The fused batched decode path
-     * runs each projection as one GEMM over the whole batch, so its
-     * column tiles -- and therefore cycles and sweeps -- amortize
-     * across the batch (ceil(B/W) instead of B tiles), while
-     * subscriptions (the MAC-equivalent count) are identical to the
-     * sequential charge.  Zero for analytic-only steps.
+     * projection GEMMs, per the VLP cycle model
+     * (vlp::vlp_gemm_mugi_cycles): QKV / output / FFN for every
+     * decoded or prefilled token, and the LM head for every decoded
+     * token and each prefill chunk's last token.  The fused batched
+     * decode path and every prefill chunk run each projection as one
+     * GEMM over their rows, so column tiles -- and therefore cycles
+     * and sweeps -- amortize across the rows (ceil(B/W) instead of B
+     * tiles), while subscriptions (the MAC-equivalent count) are
+     * identical to a token-at-a-time charge of the same GEMMs.  Zero
+     * for analytic-only steps.
      */
     vlp::GemmStats gemm;
 
@@ -162,23 +164,28 @@ struct StepPlan {
      * matrix and each layer's QKV / output / FFN projections run as
      * one batched GEMM (model::TransformerModel::decode_layer_batch),
      * with per-session attention over each session's own KV cache.
+     * A session listed twice is two rows of its cache, attended in
+     * batch order, so occurrences still behave as sequential steps.
      * Bit-identical to the sequential path; StepResult::gemm charges
-     * the amortized fused cycle counts.  A batch listing the same
-     * session twice falls back to the sequential path (occurrence
-     * ordering is a data dependency the fused stack cannot honor),
-     * as does a batch of one (nothing to fuse; identical charge).
+     * the amortized fused cycle counts.  false runs each token
+     * through its own single-row layer pass -- the sequential oracle
+     * the fused path is tested against.  Prefill always runs fused.
      */
     bool fused_decode = true;
 
     /**
      * Worker threads to fan the step's functional work across
-     * (0 = serial, the pinned fallback).  Pooled execution partitions
-     * fused decode into per-projection row-range tasks and prefill
-     * into per-chunk tasks, joining at the existing layer barriers;
-     * every partition writes disjoint outputs and runs the identical
-     * float-op sequence, so results are bit-identical to threads == 0
-     * (pinned by tests/concurrency/pooled_step_test.cc).  Analytic
-     * engines ignore this field.
+     * (0 = serial, the pinned fallback).  Pooled execution
+     * partitions fused decode into per-projection row-range tasks
+     * (attention splits by session only when no session repeats),
+     * and prefill into per-chunk tasks when the chunks' sessions are
+     * distinct from each other and from the decode set -- otherwise
+     * each chunk's layers split their GEMMs by row range.  Joins sit
+     * at the existing layer barriers; every partition writes
+     * disjoint outputs and runs the identical float-op sequence, so
+     * results are bit-identical to threads == 0 (pinned by
+     * tests/concurrency/pooled_step_test.cc).  Analytic engines
+     * ignore this field.
      */
     std::size_t threads = 0;
 
@@ -212,7 +219,7 @@ class Engine {
     const sim::DesignConfig& design() const { return design_; }
     const KernelRegistry& kernels() const { return registry_; }
     bool has_model() const { return model_ != nullptr; }
-    /** Set iff constructed with a model config or functional model. */
+    /** Set iff constructed with a model config or a model. */
     const std::optional<model::ModelConfig>&
     model_config() const
     {
@@ -251,8 +258,9 @@ class Engine {
     StepResult step(const StepPlan& plan) const;
 
     /**
-     * Feed a prompt through a functional session without per-step
-     * reports; returns the logits after the last prompt token.
+     * Feed a whole prompt through a functional session as one
+     * prefill_chunk, without per-step reports; returns the logits
+     * after the last prompt token.
      */
     std::vector<float> prefill(Session& session,
                                std::span<const int> prompt) const;
@@ -260,20 +268,26 @@ class Engine {
     /**
      * Chunk-bounded prefill entry point (functional engines): feed
      * one chunk of a prompt and return the logits after its last
-     * token.  Feeding a prompt chunk by chunk is bit-identical to one
-     * prefill() call -- both take the token-by-token decode path --
-     * which is the invariant that lets serve::Scheduler interleave
-     * prefill chunks with decode batches.
+     * token.  The chunk runs as one batched pass: its tokens are the
+     * rows of one causal run through decode_layer_batch (one GEMM
+     * per projection, one KV gather per head and layer), and the LM
+     * head scores only the last row.  Each row is bit-identical to
+     * feeding its token alone, so feeding a prompt chunk by chunk is
+     * bit-identical to one prefill() call -- the invariant that lets
+     * serve::Scheduler interleave prefill chunks with decode
+     * batches.
      */
     std::vector<float> prefill_chunk(Session& session,
-                                     std::span<const int> tokens) const;
+                                     std::span<const int> tokens)
+        const;
 
     /**
      * Analytic counterpart of prefill_chunk: grow an analytic
      * session's modeled context by @p tokens positions (no functional
      * model required).
      */
-    void advance_context(Session& session, units::Tokens tokens) const;
+    void advance_context(Session& session,
+                         units::Tokens tokens) const;
 
     // ---- Workload evaluation (the architecture-model facade). ----
 
@@ -294,7 +308,8 @@ class Engine {
 
     /** Per-op costs (Fig. 12-style class breakdowns). */
     sim::OpCost gemm_cost(const model::GemmOp& op) const;
-    sim::OpCost nonlinear_cost(const model::NonlinearWork& work) const;
+    sim::OpCost
+    nonlinear_cost(const model::NonlinearWork& work) const;
 
     sim::AreaBreakdown area() const;
 
@@ -308,13 +323,14 @@ class Engine {
     GemmRun run_woq_gemm(const PreparedWeights& weights,
                          const support::MatrixF& activations) const;
 
-    /** One-shot convenience: prepare + run.  Bit-identical to above. */
+    /** One-shot convenience: prepare + run (bit-identical). */
     GemmRun run_woq_gemm(const support::MatrixF& weights,
                          const support::MatrixF& activations,
                          std::size_t group_size) const;
 
     /** Functional VLP softmax over @p logits (one row). */
-    std::vector<float> run_softmax(std::span<const float> logits) const;
+    std::vector<float>
+    run_softmax(std::span<const float> logits) const;
 
     /** Functional VLP activation (SiLU or GELU) over @p values. */
     std::vector<float> run_activation(nonlinear::NonlinearOp op,
@@ -329,8 +345,25 @@ class Engine {
     model::NonlinearHooks default_hooks() const;
 
   private:
-    std::vector<float> decode_token(Session& session, int token) const;
-    /** Fused batched decode of @p plan's distinct decode sessions. */
+    /** One token through single-row layers: the sequential oracle
+        fused_decode = false runs. */
+    std::vector<float> decode_token(Session& session,
+                                    int token) const;
+    /** prefill_chunk with the layers' GEMMs split across @p pool
+        (nullptr = serial); bit-identical either way. */
+    std::vector<float> prefill_rows(Session& session,
+                                    std::span<const int> tokens,
+                                    support::ThreadPool* pool) const;
+    /**
+     * Run token row i of @p tokens through every layer against
+     * @p sessions[i]'s caches and hooks (decode_layer_batch); returns
+     * the final hidden rows, before the final norm.  Rows naming one
+     * session consecutively form a causal run.
+     */
+    support::MatrixF forward_rows(std::span<Session* const> sessions,
+                                  std::span<const int> tokens,
+                                  support::ThreadPool* pool) const;
+    /** Fused batched decode of @p plan's decode sessions. */
     void step_decode_fused(const StepPlan& plan, StepResult& result,
                            support::ThreadPool* pool) const;
     support::MatrixF final_norm_logits(const support::MatrixF& x,

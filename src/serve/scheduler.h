@@ -166,7 +166,8 @@ struct SchedulerConfig {
     /** Admission policy against the KV budget. */
     AdmissionMode admission = AdmissionMode::kPagedReservation;
     /** KV positions per block of the shared pool. */
-    units::Tokens kv_block_tokens = quant::BlockPool::kDefaultBlockTokens;
+    units::Tokens kv_block_tokens =
+        quant::BlockPool::kDefaultBlockTokens;
     /**
      * Blocks that must remain free after a paged admission -- decode
      * headroom that damps admit/preempt thrash, vLLM's watermark.
@@ -248,7 +249,7 @@ struct ServerStats {
      */
     sim::PerfReport horizon;
     std::size_t steps = 0;
-    /** Modeled clock when the snapshot was taken (Scheduler::now_s). */
+    /** Modeled clock at the snapshot (Scheduler::now_s). */
     double now_s = 0.0;
 
     std::size_t submitted = 0;
@@ -403,7 +404,8 @@ class Scheduler {
      * non-draining server shutdown path).  Returns how many were
      * retired.
      */
-    std::size_t cancel_all(FinishReason reason = FinishReason::kShutdown);
+    std::size_t
+    cancel_all(FinishReason reason = FinishReason::kShutdown);
 
     /**
      * One scheduling iteration: admit, preempt if the pool would run
@@ -413,7 +415,7 @@ class Scheduler {
      */
     bool step();
 
-    /** step() until drained, then hand back every finished request. */
+    /** step() until drained; hand back every finished request. */
     std::vector<FinishedRequest> run();
 
     /** Finished requests since the last take (submission order). */
@@ -457,7 +459,7 @@ class Scheduler {
          * plus -- after a preemption -- the tokens generated before
          * eviction, replayed to rebuild the KV cache bit-identically.
          */
-        std::vector<int> feed;
+        std::vector<int> feed{};
         /** Effective prompt length (analytic: prompt + replayed). */
         units::Tokens feed_tokens{0};
         units::Tokens prompt_fed{0};
@@ -481,7 +483,7 @@ class Scheduler {
          * Chain keys of this request's shareable prompt-block runs
          * -- the prefix-index entries it owns while resident.
          */
-        std::vector<std::uint64_t> prefix_keys;
+        std::vector<std::uint64_t> prefix_keys{};
         /**
          * Leading prefix_keys this *analytic* request holds
          * refcounted reservations for (each key's block-group bytes
@@ -549,7 +551,8 @@ class Scheduler {
     };
 
     /** Bytes of one all-layer block group at @p precision. */
-    units::Bytes block_group_bytes(quant::KvPrecision precision) const;
+    units::Bytes
+    block_group_bytes(quant::KvPrecision precision) const;
     /** Blocks covering @p tokens at the pool's block geometry. */
     units::Blocks blocks_for(units::Tokens tokens) const;
     /** Prefix caching needs paged refcounts and the config knob. */
@@ -604,7 +607,7 @@ class Scheduler {
     units::Tokens step_append_tokens(const ActiveRequest& req) const;
     /** Evict active requests until this iteration's appends fit. */
     void preempt_for_pressure();
-    /** Evict active_[index]: free its blocks, re-queue at the front. */
+    /** Evict active_[index]: free its blocks, re-queue in front. */
     void preempt(std::size_t index);
     /**
      * Retire active_[index] with @p reason right now: finish it,
@@ -626,12 +629,12 @@ class Scheduler {
     void shed_for_capacity();
     /** Retire queued requests whose admission timeout expired. */
     void expire_admission_timeouts();
-    /** Fold @p f into the latency aggregates and the finished list. */
+    /** Fold @p f into the latency aggregates and finished list. */
     void record_finished(FinishedRequest f);
     /** Grow the pool reservation mirroring an analytic cache. */
     void sync_analytic_reservation(ActiveRequest& req);
     void admit_arrivals();
-    /** Emit one generated token; returns true when req is finished. */
+    /** Emit one generated token; true when req is finished. */
     bool emit_token(ActiveRequest& req, int token);
     void finish(ActiveRequest& req, FinishReason reason);
 

@@ -5,11 +5,11 @@
  * test-only hook (BlockPool::corrupt_refs_for_test) injects exactly
  * the refcount drift PRs 3-4 made safety-critical and asserts the
  * auditor reports it -- as a death through the abort-on-drift
- * audit() entry point in assert-enabled builds, and as an
- * error-return from check_invariants() in every build type (NDEBUG
- * included, where the scheduler's automatic audits are compiled
- * out).  Positive cases pin that honest schedulers and pools audit
- * clean end to end.
+ * audit() entry point and as an error-return from
+ * check_invariants(), both in every build type (NDEBUG included,
+ * where only the scheduler's *automatic* audits are compiled out).
+ * Positive cases pin that honest schedulers and pools audit clean
+ * end to end.
  */
 
 #include <cstddef>
@@ -21,7 +21,6 @@
 #include "quant/block_allocator.h"
 #include "serve/engine.h"
 #include "serve/scheduler.h"
-#include "support/audit.h"
 
 namespace mugi {
 namespace {
@@ -68,11 +67,10 @@ TEST(InvariantAuditor, CorruptedRefcountIsReported)
 
 TEST(InvariantAuditorDeathTest, CorruptedPoolAuditAborts)
 {
-    // Debug builds: the abort-on-drift entry point (the one the
-    // scheduler's automatic per-step audit uses) must die loudly.
-    if (!support::kAssertsOn) {
-        GTEST_SKIP() << "debug-build audit contract";
-    }
+    // The abort-on-drift entry point (the one the scheduler's
+    // automatic per-step audit uses) must die loudly.  It aborts
+    // through support::audit_or_abort, not assert, so this holds in
+    // every build type.
     quant::BlockPool pool;
     const quant::BlockId block = pool.allocate(units::Bytes(64));
     pool.corrupt_refs_for_test(block, 5);

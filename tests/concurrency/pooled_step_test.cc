@@ -3,13 +3,15 @@
  * Bit-identity of the pooled Engine::step (StepPlan::threads > 0)
  * against the pinned serial fallback (threads == 0): mixed
  * prefill-and-decode plans, mixed KV precisions (INT4 + float),
- * ragged contexts, fused and sequential decode, across 1/2/4-worker
- * pools -- every logit and token must match the serial run exactly,
- * since pooled partitioning only reorders *when* disjoint outputs are
- * computed, never what is computed (thread_pool.h's determinism
- * contract).  Run under TSan in CI: the per-projection row-range
- * tasks, per-chunk prefill tasks and the shared worker pool are
- * exactly the interleavings the sanitizer should see.
+ * ragged contexts, fused and sequential decode, 16-token prefill
+ * chunks and decode batches listing one session more than once,
+ * across 1/2/4-worker pools -- every logit and token must match the
+ * serial run exactly, since pooled partitioning only reorders *when*
+ * disjoint outputs are computed, never what is computed
+ * (thread_pool.h's determinism contract).  Run under TSan in CI: the
+ * per-projection row-range tasks, per-chunk prefill tasks and the
+ * shared worker pool are exactly the interleavings the sanitizer
+ * should see.
  */
 
 #include "serve/engine.h"
@@ -49,8 +51,9 @@ run_mixed(const Engine& engine, const model::ModelConfig& config,
     for (std::size_t i = 0; i < kDecode; ++i) {
         SessionOptions options;
         options.kv_pool = pool;
-        options.kv_precision = i % 2 == 0 ? quant::KvPrecision::kInt4
-                                          : quant::KvPrecision::kFloat;
+        options.kv_precision = i % 2 == 0
+                                   ? quant::KvPrecision::kInt4
+                                   : quant::KvPrecision::kFloat;
         decoders.push_back(engine.create_session(options));
         engine.prefill(decoders.back(),
                        model::synthetic_tokens(
@@ -109,6 +112,23 @@ run_mixed(const Engine& engine, const model::ModelConfig& config,
     return out;
 }
 
+/** Every logit of @p pooled equals @p serial's, bit for bit. */
+void
+expect_bit_identical(const PlanOutputs& pooled,
+                     const PlanOutputs& serial, std::size_t threads)
+{
+    EXPECT_EQ(pooled.tokens, serial.tokens) << threads << " threads";
+    ASSERT_EQ(pooled.logits.size(), serial.logits.size());
+    for (std::size_t i = 0; i < serial.logits.size(); ++i) {
+        ASSERT_EQ(pooled.logits[i].size(), serial.logits[i].size());
+        for (std::size_t v = 0; v < serial.logits[i].size(); ++v) {
+            ASSERT_EQ(pooled.logits[i][v], serial.logits[i][v])
+                << threads << " threads, output " << i << ", vocab "
+                << v;
+        }
+    }
+}
+
 TEST(PooledStep, MixedPlanBitIdenticalToSerialAcrossThreadCounts)
 {
     const model::ModelConfig config =
@@ -125,28 +145,112 @@ TEST(PooledStep, MixedPlanBitIdenticalToSerialAcrossThreadCounts)
 
     for (const std::size_t threads : {1u, 2u, 4u}) {
         quant::BlockPool pool;
-        const PlanOutputs pooled =
-            run_mixed(engine, config, threads, kSteps, &pool);
-        EXPECT_EQ(pooled.tokens, serial.tokens)
-            << threads << " threads";
-        ASSERT_EQ(pooled.logits.size(), serial.logits.size());
-        for (std::size_t i = 0; i < serial.logits.size(); ++i) {
-            ASSERT_EQ(pooled.logits[i].size(),
-                      serial.logits[i].size());
-            for (std::size_t v = 0; v < serial.logits[i].size();
-                 ++v) {
-                // Bit-identical: pooled partitioning must never
-                // change a single float.
-                ASSERT_EQ(pooled.logits[i][v], serial.logits[i][v])
-                    << threads << " threads, output " << i
-                    << ", vocab " << v;
-            }
-        }
+        // Bit-identical: pooled partitioning must never change a
+        // single float.
+        expect_bit_identical(
+            run_mixed(engine, config, threads, kSteps, &pool), serial,
+            threads);
         EXPECT_EQ(pool.blocks_in_use(), units::Blocks(0));
         EXPECT_EQ(pool.check_invariants(), "");
     }
     EXPECT_EQ(serial_pool.blocks_in_use(), units::Blocks(0));
     EXPECT_EQ(serial_pool.check_invariants(), "");
+}
+
+/**
+ * Causal runs under the pool: each iteration decodes a batch that
+ * lists session 0 three times (rows 0, 2 and 3: apart and
+ * back-to-back) beside session 1, and feeds 16-token prefill chunks
+ * -- one chunk alone (the serial plan walk, whose layers split their
+ * GEMMs across the pool), then two chunks of distinct sessions (one
+ * task per chunk).
+ */
+PlanOutputs
+run_causal_runs(const Engine& engine,
+                const model::ModelConfig& config, std::size_t threads,
+                quant::BlockPool* pool)
+{
+    constexpr std::size_t kChunk = 16;
+    std::vector<Session> decoders;
+    for (std::size_t i = 0; i < 2; ++i) {
+        SessionOptions options;
+        options.kv_pool = pool;
+        options.kv_precision = i == 0 ? quant::KvPrecision::kInt4
+                                      : quant::KvPrecision::kFloat;
+        decoders.push_back(engine.create_session(options));
+        engine.prefill(decoders.back(),
+                       model::synthetic_tokens(
+                           5 + 6 * i, config.vocab,
+                           static_cast<std::uint32_t>(60 + i)));
+    }
+    std::vector<Session> prefillers;
+    std::vector<std::vector<int>> prompts;
+    for (std::size_t i = 0; i < 2; ++i) {
+        SessionOptions options;
+        options.kv_pool = pool;
+        options.kv_precision = i == 0 ? quant::KvPrecision::kFloat
+                                      : quant::KvPrecision::kInt4;
+        prefillers.push_back(engine.create_session(options));
+        prompts.push_back(model::synthetic_tokens(
+            2 * kChunk, config.vocab,
+            static_cast<std::uint32_t>(90 + i)));
+    }
+
+    // Which prefillers feed their next chunk at each iteration.
+    const std::vector<std::vector<std::size_t>> feeding = {
+        {0}, {0, 1}, {1}};
+    std::vector<std::size_t> fed(prefillers.size(), 0);
+    std::vector<int> feed = {3, 8, 13, 21};
+    PlanOutputs out;
+    for (const std::vector<std::size_t>& chunk_owners : feeding) {
+        StepPlan plan;
+        plan.threads = threads;
+        plan.decode_sessions = {&decoders[0], &decoders[1],
+                                &decoders[0], &decoders[0]};
+        plan.decode_tokens = feed;
+        for (const std::size_t i : chunk_owners) {
+            StepPlan::PrefillEntry entry;
+            entry.session = &prefillers[i];
+            entry.tokens =
+                std::span<const int>(prompts[i]).subspan(fed[i],
+                                                         kChunk);
+            plan.prefills.push_back(entry);
+            fed[i] += kChunk;
+        }
+        const StepResult r = engine.step(plan);
+        for (std::size_t i = 0; i < r.outputs.size(); ++i) {
+            feed[i] = r.outputs[i].next_token;
+            out.tokens.push_back(r.outputs[i].next_token);
+            out.logits.push_back(r.outputs[i].logits);
+        }
+        for (const StepResult::SessionOutput& o : r.prefill_outputs) {
+            out.tokens.push_back(o.next_token);
+            out.logits.push_back(o.logits);
+        }
+    }
+    return out;
+}
+
+TEST(PooledStep, ChunksAndRepeatedSessionsBitIdenticalToSerial)
+{
+    const model::ModelConfig config =
+        model::llama2_70b().scaled_for_eval(2, 32, 64);
+    const auto transformer =
+        std::make_shared<model::TransformerModel>(config, 777);
+    const Engine engine(sim::make_mugi(64), transformer);
+
+    quant::BlockPool serial_pool;
+    const PlanOutputs serial =
+        run_causal_runs(engine, config, 0, &serial_pool);
+    ASSERT_FALSE(serial.tokens.empty());
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        quant::BlockPool pool;
+        expect_bit_identical(
+            run_causal_runs(engine, config, threads, &pool), serial,
+            threads);
+        EXPECT_EQ(pool.blocks_in_use(), units::Blocks(0));
+        EXPECT_EQ(pool.check_invariants(), "");
+    }
 }
 
 TEST(PooledStep, WorkerStatsReportedOnlyForPooledSteps)

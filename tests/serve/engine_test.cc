@@ -9,17 +9,47 @@
 
 #include "serve/engine.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "model/accuracy.h"
+#include "quant/block_allocator.h"
+#include "vlp/vlp_gemm.h"
 
 namespace mugi {
 namespace serve {
 namespace {
+
+/** Feed @p tokens to @p session; return the last logits. */
+std::vector<float>
+feed_tokens(model::DecodeSession& session,
+            std::span<const int> tokens)
+{
+    std::vector<float> logits;
+    for (const int token : tokens) {
+        logits = session.step(token);
+    }
+    return logits;
+}
+
+/** Bit-identity of two logit vectors, reporting the first miss. */
+void
+expect_same_logits(const std::vector<float>& got,
+                   const std::vector<float>& want,
+                   const std::string& what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    ASSERT_FALSE(want.empty()) << what;
+    for (std::size_t v = 0; v < want.size(); ++v) {
+        ASSERT_EQ(got[v], want[v]) << what << ", vocab " << v;
+    }
+}
 
 TEST(MixedWorkload, OpCountsMatchIndependentDecodes)
 {
@@ -263,8 +293,9 @@ TEST(EngineStep, AnalyticSessionStepsPastModelMaxSeqLen)
 TEST(EngineStep, PrefillChunksAreBitIdenticalToFullPrefill)
 {
     // The chunked-prefill invariant the scheduler relies on: feeding
-    // a prompt in chunks takes the same token-by-token path as one
-    // prefill() call.
+    // a prompt in chunks is bit-identical to one prefill() call
+    // (every row of a batched chunk matches feeding its token
+    // alone, wherever the chunk boundaries fall).
     const model::ModelConfig config =
         model::llama2_70b().scaled_for_eval(2, 32, 64);
     auto transformer =
@@ -292,6 +323,182 @@ TEST(EngineStep, PrefillChunksAreBitIdenticalToFullPrefill)
     const StepResult a = engine.step(whole, 13);
     const StepResult b = engine.step(chunked, 13);
     EXPECT_EQ(a.outputs[0].next_token, b.outputs[0].next_token);
+}
+
+TEST(EngineStep, BatchedPrefillMatchesPerTokenDecodeLayerOracle)
+{
+    // A prefill chunk runs as one causal run through
+    // decode_layer_batch.  Each chunk's logits must equal a
+    // token-at-a-time decode_layer loop's (model::DecodeSession over
+    // a same-seed model with the engine's kernels), for INT4 and
+    // float KV, with chunks that straddle a KV block boundary and a
+    // whole prompt fed as one chunk.
+    const model::ModelConfig config =
+        model::llama2_70b().scaled_for_eval(2, 32, 64);
+    auto transformer =
+        std::make_shared<model::TransformerModel>(config, 8080);
+    const Engine engine(sim::make_mugi(64), transformer);
+    model::TransformerModel reference(config, 8080);
+    reference.set_hooks(engine.default_hooks());
+    const std::vector<int> prompt =
+        model::synthetic_tokens(40, config.vocab, 31);
+    const std::span<const int> span(prompt);
+    // 16-token blocks: [0, 10) fills part of block 0, [10, 22)
+    // straddles the 16 boundary, [22, 40) straddles 32.
+    const std::size_t cuts[] = {0, 10, 22, 40};
+
+    for (const quant::KvPrecision precision :
+         {quant::KvPrecision::kInt4, quant::KvPrecision::kFloat}) {
+        const std::string kv =
+            precision == quant::KvPrecision::kInt4 ? "int4" : "float";
+        quant::BlockPool pool;
+        SessionOptions options;
+        options.kv_precision = precision;
+        options.kv_pool = &pool;
+
+        Session chunked = engine.create_session(options);
+        model::DecodeSession oracle(reference, precision);
+        for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+            const auto chunk =
+                span.subspan(cuts[c], cuts[c + 1] - cuts[c]);
+            expect_same_logits(engine.prefill_chunk(chunked, chunk),
+                               feed_tokens(oracle, chunk),
+                               kv + " chunk " + std::to_string(c));
+            EXPECT_EQ(chunked.position(),
+                      units::Positions(cuts[c + 1]));
+        }
+
+        Session whole = engine.create_session(options);
+        model::DecodeSession whole_oracle(reference, precision);
+        expect_same_logits(engine.prefill(whole, prompt),
+                           feed_tokens(whole_oracle, prompt),
+                           kv + " whole prompt");
+
+        // Both sessions decode on identically afterwards.
+        const StepResult a = engine.step(chunked, 5);
+        const StepResult b = engine.step(whole, 5);
+        expect_same_logits(a.outputs[0].logits, b.outputs[0].logits,
+                           kv + " decode after prefill");
+        expect_same_logits(a.outputs[0].logits, oracle.step(5),
+                           kv + " decode vs oracle");
+    }
+}
+
+TEST(EngineStep, BatchedPrefillCopiesOnWriteIntoAnAdoptedTailBlock)
+{
+    // A follower adopts 18 of a donor's 20 positions, so it shares
+    // the donor's partly filled second block -- which also holds two
+    // donor positions the follower must never see.  The follower's
+    // next chunk appends 8 rows into that block (copy-on-write under
+    // a multi-row append); then the donor appends its own chunk.
+    // Both must match token-at-a-time oracles fed the same tokens.
+    const model::ModelConfig config =
+        model::llama2_70b().scaled_for_eval(2, 32, 64);
+    auto transformer =
+        std::make_shared<model::TransformerModel>(config, 4242);
+    const Engine engine(sim::make_mugi(64), transformer);
+    model::TransformerModel reference(config, 4242);
+    reference.set_hooks(engine.default_hooks());
+    const std::vector<int> donor_prompt =
+        model::synthetic_tokens(20, config.vocab, 3);
+    const std::vector<int> follower_chunk =
+        model::synthetic_tokens(8, config.vocab, 4);
+    const std::vector<int> donor_chunk =
+        model::synthetic_tokens(6, config.vocab, 5);
+
+    for (const quant::KvPrecision precision :
+         {quant::KvPrecision::kInt4, quant::KvPrecision::kFloat}) {
+        const std::string kv =
+            precision == quant::KvPrecision::kInt4 ? "int4" : "float";
+        quant::BlockPool pool;
+        SessionOptions options;
+        options.kv_precision = precision;
+        options.kv_pool = &pool;
+        {
+            Session donor = engine.create_session(options);
+            engine.prefill(donor, donor_prompt);
+            Session follower = engine.create_session(options);
+            follower.adopt_kv_prefix(donor, units::Positions(18));
+            ASSERT_GT(follower.shared_kv_blocks(), units::Blocks(0));
+
+            model::DecodeSession follower_oracle(reference,
+                                                 precision);
+            feed_tokens(follower_oracle,
+                        std::span<const int>(donor_prompt).first(18));
+            expect_same_logits(
+                engine.prefill_chunk(follower, follower_chunk),
+                feed_tokens(follower_oracle, follower_chunk),
+                kv + " follower chunk");
+
+            model::DecodeSession donor_oracle(reference, precision);
+            feed_tokens(donor_oracle, donor_prompt);
+            expect_same_logits(
+                engine.prefill_chunk(donor, donor_chunk),
+                feed_tokens(donor_oracle, donor_chunk),
+                kv + " donor chunk");
+            EXPECT_EQ(pool.check_invariants(), "");
+        }
+        EXPECT_EQ(pool.blocks_in_use(), units::Blocks(0));
+    }
+}
+
+TEST(EngineStep, PrefillChargesOneFusedPassAndOneLmHeadRow)
+{
+    // A prefill chunk runs each projection as one GEMM over its T
+    // rows and the LM head on its last row only; StepResult::gemm
+    // must charge exactly that.
+    const model::ModelConfig config =
+        model::llama2_70b().scaled_for_eval(2, 32, 64);
+    auto transformer =
+        std::make_shared<model::TransformerModel>(config, 31);
+    const Engine engine(sim::make_mugi(64), transformer);
+    const std::vector<int> chunk =
+        model::synthetic_tokens(12, config.vocab, 9);
+    const std::size_t T = chunk.size();
+
+    const int rows = static_cast<int>(engine.design().array_rows);
+    const int cols = static_cast<int>(engine.design().array_cols);
+    const std::size_t d = config.d_model;
+    const std::size_t kv = config.num_kv_heads * config.head_dim();
+    const std::size_t ff = config.d_ff;
+    // (N, K) of each layer projection: wq, wk, wv, wo, [gate], up,
+    // down.
+    std::vector<std::pair<std::size_t, std::size_t>> projections = {
+        {d, d}, {kv, d}, {kv, d}, {d, d}};
+    if (config.gated_ffn()) {
+        projections.emplace_back(ff, d);
+    }
+    projections.emplace_back(ff, d);
+    projections.emplace_back(d, ff);
+
+    std::uint64_t cycles = 0;
+    std::uint64_t subscriptions = 0;
+    for (std::size_t l = 0; l < config.num_layers; ++l) {
+        for (const auto& [n, k] : projections) {
+            cycles += vlp::vlp_gemm_mugi_cycles(n, T, k, rows, cols);
+            subscriptions += static_cast<std::uint64_t>(n) * k * T;
+        }
+    }
+    cycles +=
+        vlp::vlp_gemm_mugi_cycles(config.vocab, 1, d, rows, cols);
+    subscriptions += static_cast<std::uint64_t>(config.vocab) * d;
+
+    Session session = engine.create_session();
+    StepPlan plan;
+    plan.prefills.push_back({&session, chunk, units::Tokens(0)});
+    const StepResult result = engine.step(plan);
+    EXPECT_EQ(result.gemm.cycles, cycles);
+    EXPECT_EQ(result.gemm.sweeps,
+              cycles >> numerics::kInt4MagnitudeBits);
+    EXPECT_EQ(result.gemm.subscriptions, subscriptions);
+
+    // Strictly cheaper than T single-token passes: fewer cycles and
+    // fewer subscriptions (T - 1 LM-head rows are never computed).
+    Session one = engine.create_session();
+    const StepResult single = engine.step(one, chunk[0]);
+    EXPECT_LT(result.gemm.cycles, T * single.gemm.cycles);
+    EXPECT_LT(result.gemm.subscriptions,
+              T * single.gemm.subscriptions);
 }
 
 TEST(EngineStep, FusedDecodeBitIdenticalToSequentialWithMixedKv)
