@@ -357,11 +357,9 @@ Engine::step(const StepPlan& plan) const
     // Per-chunk prefill tasks: each chunk streams its own session's
     // tokens, so chunks over pairwise-distinct sessions that also
     // don't appear among the decode entries are independent and fan
-    // out across the pool, each running its layers serially (outputs
-    // and charges are still assembled in plan order below).  The
-    // serial plan walk instead hands the pool to each chunk's layers,
-    // whose row-range GEMM tasks it splits.  Either way every chunk
-    // runs the identical float-op sequence as threads == 0.
+    // out across the pool (outputs and charges are still assembled in
+    // plan order below, and each chunk runs the identical serial
+    // batched pass -- bit-identical to the serial plan walk).
     bool parallel_prefill = pool != nullptr && P > 1;
     if (parallel_prefill) {
         std::unordered_map<const Session*, std::size_t> prefill_seen;
@@ -377,7 +375,7 @@ Engine::step(const StepPlan& plan) const
         pool->parallel_for(P, [&](std::size_t i) {
             const StepPlan::PrefillEntry& entry = plan.prefills[i];
             chunk_logits[i] =
-                prefill_rows(*entry.session, entry.tokens, nullptr);
+                prefill_chunk(*entry.session, entry.tokens);
         });
     }
     for (std::size_t i = 0; i < P; ++i) {
@@ -386,10 +384,9 @@ Engine::step(const StepPlan& plan) const
         StepResult::SessionOutput out;
         out.session_id = session.id();
         if (!entry.tokens.empty()) {
-            out.logits =
-                parallel_prefill
-                    ? std::move(chunk_logits[i])
-                    : prefill_rows(session, entry.tokens, pool.get());
+            out.logits = parallel_prefill
+                             ? std::move(chunk_logits[i])
+                             : prefill_chunk(session, entry.tokens);
             out.next_token = static_cast<int>(std::distance(
                 out.logits.begin(),
                 std::max_element(out.logits.begin(),
@@ -454,13 +451,6 @@ std::vector<float>
 Engine::prefill_chunk(Session& session,
                       std::span<const int> tokens) const
 {
-    return prefill_rows(session, tokens, nullptr);
-}
-
-std::vector<float>
-Engine::prefill_rows(Session& session, std::span<const int> tokens,
-                     support::ThreadPool* pool) const
-{
     assert(model_ && "chunked prefill needs a functional model");
     const std::size_t T = tokens.size();
     if (T == 0) {
@@ -470,7 +460,7 @@ Engine::prefill_rows(Session& session, std::span<const int> tokens,
     // appended in row order and attended with one KV gather per head
     // and layer.
     const std::vector<Session*> rows(T, &session);
-    const support::MatrixF x = forward_rows(rows, tokens, pool);
+    const support::MatrixF x = forward_rows(rows, tokens, nullptr);
     session.position_ += T;
     // Only the last row's logits leave the chunk.
     const std::size_t d = model_config_->d_model;

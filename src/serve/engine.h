@@ -180,7 +180,7 @@ struct StepPlan {
      * (attention splits by session only when no session repeats),
      * and prefill into per-chunk tasks when the chunks' sessions are
      * distinct from each other and from the decode set -- otherwise
-     * each chunk's layers split their GEMMs by row range.  Joins sit
+     * the chunks run serially, without the pool.  Joins sit
      * at the existing layer barriers; every partition writes
      * disjoint outputs and runs the identical float-op sequence, so
      * results are bit-identical to threads == 0 (pinned by
@@ -349,11 +349,6 @@ class Engine {
         fused_decode = false runs. */
     std::vector<float> decode_token(Session& session,
                                     int token) const;
-    /** prefill_chunk with the layers' GEMMs split across @p pool
-        (nullptr = serial); bit-identical either way. */
-    std::vector<float> prefill_rows(Session& session,
-                                    std::span<const int> tokens,
-                                    support::ThreadPool* pool) const;
     /**
      * Run token row i of @p tokens through every layer against
      * @p sessions[i]'s caches and hooks (decode_layer_batch); returns

@@ -161,9 +161,8 @@ TEST(PooledStep, MixedPlanBitIdenticalToSerialAcrossThreadCounts)
  * Causal runs under the pool: each iteration decodes a batch that
  * lists session 0 three times (rows 0, 2 and 3: apart and
  * back-to-back) beside session 1, and feeds 16-token prefill chunks
- * -- one chunk alone (the serial plan walk, whose layers split their
- * GEMMs across the pool), then two chunks of distinct sessions (one
- * task per chunk).
+ * -- one chunk alone (the serial plan walk), then two chunks of
+ * distinct sessions (one task per chunk).
  */
 PlanOutputs
 run_causal_runs(const Engine& engine,

@@ -217,8 +217,10 @@ TEST(EngineStep, DuplicateSessionInBatchActsSequentially)
 {
     // The scheduler never lists a session twice, but Engine::step
     // defines the behavior anyway: each occurrence is one sequential
-    // step, so the duplicate batch must reproduce two back-to-back
-    // single steps -- bit-identical logits and the same positions.
+    // step, so the fused duplicate batch (one causal run of two rows)
+    // must reproduce two back-to-back steps of the token-at-a-time
+    // decode_layer oracle -- bit-identical logits and the same
+    // positions.
     const model::ModelConfig config =
         model::llama2_70b().scaled_for_eval(2, 32, 64);
     auto transformer =
@@ -235,8 +237,13 @@ TEST(EngineStep, DuplicateSessionInBatchActsSequentially)
 
     Session seq = engine.create_session();
     engine.prefill(seq, prompt);
-    const StepResult first = engine.step(seq, 3);
-    const StepResult second = engine.step(seq, 9);
+    StepPlan seq_plan;
+    seq_plan.fused_decode = false;
+    seq_plan.decode_sessions = {&seq};
+    seq_plan.decode_tokens = {3};
+    const StepResult first = engine.step(seq_plan);
+    seq_plan.decode_tokens = {9};
+    const StepResult second = engine.step(seq_plan);
 
     ASSERT_EQ(batched.outputs.size(), 2u);
     EXPECT_EQ(batched.outputs[0].position, first.outputs[0].position);
@@ -263,6 +270,69 @@ TEST(EngineStep, DuplicateSessionInBatchActsSequentially)
     EXPECT_DOUBLE_EQ(batched.report.perf.total_cycles,
                      sim::run_workload(engine.design(), expected)
                          .total_cycles);
+}
+
+TEST(EngineStep, SplitRunsOfOneSessionMatchTheSequentialOracle)
+{
+    // A session listed apart in a fused batch ([A, B, A]) gives two
+    // separate one-row runs on one cache, with B's run between them.
+    // The second A row must see the first A row's K/V, exactly as the
+    // token-at-a-time decode_layer path (fused_decode = false) steps
+    // the same list; checked for INT4 and float KV, over two steps so
+    // the second one attends the positions the first appended.
+    const model::ModelConfig config =
+        model::llama2_70b().scaled_for_eval(2, 32, 64);
+    auto transformer =
+        std::make_shared<model::TransformerModel>(config, 2024);
+    const Engine engine(sim::make_mugi(64), transformer);
+
+    for (const quant::KvPrecision precision :
+         {quant::KvPrecision::kInt4, quant::KvPrecision::kFloat}) {
+        SessionOptions options;
+        options.kv_precision = precision;
+        auto make = [&](std::uint32_t seed) {
+            Session session = engine.create_session(options);
+            engine.prefill(session,
+                           model::synthetic_tokens(6, config.vocab,
+                                                   seed));
+            return session;
+        };
+        Session a = make(11);
+        Session b = make(12);
+        Session seq_a = make(11);
+        Session seq_b = make(12);
+
+        StepPlan fused_plan;
+        fused_plan.decode_sessions = {&a, &b, &a};
+        StepPlan seq_plan;
+        seq_plan.fused_decode = false;
+        seq_plan.decode_sessions = {&seq_a, &seq_b, &seq_a};
+        std::vector<int> tokens = {3, 9, 14};
+        for (int iteration = 0; iteration < 2; ++iteration) {
+            fused_plan.decode_tokens = tokens;
+            seq_plan.decode_tokens = tokens;
+            const StepResult fused = engine.step(fused_plan);
+            const StepResult seq = engine.step(seq_plan);
+            ASSERT_EQ(fused.outputs.size(), 3u);
+            ASSERT_EQ(seq.outputs.size(), 3u);
+            for (std::size_t i = 0; i < 3; ++i) {
+                EXPECT_EQ(fused.outputs[i].position,
+                          seq.outputs[i].position);
+                ASSERT_EQ(fused.outputs[i].logits.size(),
+                          seq.outputs[i].logits.size());
+                for (std::size_t v = 0;
+                     v < seq.outputs[i].logits.size(); ++v) {
+                    ASSERT_EQ(fused.outputs[i].logits[v],
+                              seq.outputs[i].logits[v])
+                        << "iteration " << iteration << " row " << i
+                        << " logit " << v;
+                }
+                tokens[i] = seq.outputs[i].next_token;
+            }
+        }
+        EXPECT_EQ(a.position(), seq_a.position());
+        EXPECT_EQ(b.position(), seq_b.position());
+    }
 }
 
 TEST(EngineStep, AnalyticSessionStepsPastModelMaxSeqLen)
