@@ -32,7 +32,8 @@ rmsnorm(const support::MatrixF& in, std::span<const float> gain,
 
 void
 layernorm(const support::MatrixF& in, std::span<const float> gain,
-          std::span<const float> bias, support::MatrixF& out, float eps)
+          std::span<const float> bias, support::MatrixF& out,
+          float eps)
 {
     assert(gain.size() == in.cols() && bias.size() == in.cols());
     out = support::MatrixF(in.rows(), in.cols());
@@ -95,24 +96,23 @@ apply_rope(support::MatrixF& x, std::size_t num_heads,
 }
 
 void
-softmax_rows(support::MatrixF& scores,
-             const nonlinear::NonlinearApproximator* exp_approx,
-             const std::function<void(std::span<const float>)>& capture)
+softmax_rows(
+    support::MatrixF& scores,
+    const nonlinear::NonlinearApproximator* exp_approx,
+    const std::function<void(std::span<const float>)>& capture)
 {
-    std::vector<float> shifted(scores.cols());
+    // Only a capture reads the max-shifted row; softmax_with and
+    // softmax_ref shift on their own.
+    std::vector<float> shifted(capture ? scores.cols() : 0);
     for (std::size_t r = 0; r < scores.rows(); ++r) {
         float* row = scores.row_data(r);
         const std::span<float> row_span(row, scores.cols());
-        if (!capture && !exp_approx) {
-            nonlinear::softmax_ref(row_span, row_span);
-            continue;
-        }
-        const float max =
-            *std::max_element(row, row + scores.cols());
-        for (std::size_t c = 0; c < scores.cols(); ++c) {
-            shifted[c] = row[c] - max;
-        }
         if (capture) {
+            const float max =
+                *std::max_element(row, row + scores.cols());
+            for (std::size_t c = 0; c < scores.cols(); ++c) {
+                shifted[c] = row[c] - max;
+            }
             capture(shifted);
         }
         if (exp_approx) {
@@ -155,7 +155,7 @@ apply_activation(
 support::MatrixF
 linear(const support::MatrixF& x, const support::MatrixF& w)
 {
-    return support::matmul(x, w);
+    return linear_batched(x, w);
 }
 
 support::MatrixF
@@ -167,7 +167,36 @@ linear_batched(const support::MatrixF& x, const support::MatrixF& w)
     return c;
 }
 
-void
+namespace {
+
+/** Output columns one row holds in locals across the reduction. */
+constexpr std::size_t kTileCols = 64;
+
+}  // namespace
+
+// One clone per vector width, chosen by the (ELF ifunc) loader for
+// the running host.  mugi_core builds with -ffp-contract=off, so no
+// clone fuses a multiply and an add into an FMA (which would change
+// the bits).  The loader runs the clone resolver before
+// ThreadSanitizer's runtime is up, and a GCC 12 TSan build with
+// clones segfaults at load, before main; TSan builds therefore keep
+// the baseline kernel.  Every clone gives the same bytes.
+#if defined(__SANITIZE_THREAD__)
+#define MUGI_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MUGI_TSAN_BUILD 1
+#endif
+#endif
+#if defined(__x86_64__) && defined(__linux__) && \
+    defined(__GNUC__) && !defined(MUGI_TSAN_BUILD)
+#define MUGI_VECTOR_CLONES \
+    __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define MUGI_VECTOR_CLONES
+#endif
+
+MUGI_VECTOR_CLONES void
 linear_batched_range(const support::MatrixF& x,
                      const support::MatrixF& w, std::size_t row_begin,
                      std::size_t row_end, support::MatrixF& out)
@@ -175,13 +204,57 @@ linear_batched_range(const support::MatrixF& x,
     assert(x.cols() == w.rows());
     assert(out.rows() == x.rows() && out.cols() == w.cols());
     assert(row_begin <= row_end && row_end <= x.rows());
-    for (std::size_t k = 0; k < x.cols(); ++k) {
-        const float* brow = w.row_data(k);
-        for (std::size_t i = row_begin; i < row_end; ++i) {
-            const float aik = x.at(i, k);
-            if (aik == 0.0f) continue;
-            float* crow = out.row_data(i);
-            for (std::size_t j = 0; j < w.cols(); ++j) {
+    // Every cell starts from its current value and adds aik * w[k][j]
+    // in ascending k, skipping aik == 0: the per-cell float-op chain
+    // of the literal triple loop (support::matmul).  A row holds a
+    // tile of kTileCols cells in vector registers across the whole
+    // reduction; column tiles run outermost, so a tile's weight slab
+    // stays in cache while every row of the range reduces against it.
+    const std::size_t depth = x.cols();
+    const std::size_t cols = w.cols();
+    if (cols >= kTileCols) {
+        for (std::size_t j0 = 0; j0 < cols; j0 += kTileCols) {
+            // The leftover columns run as one full tile ending at the
+            // last column.  Its lanes left of j0 overlap the previous
+            // tile and are dropped, not stored: only the new lanes'
+            // start values are still the untouched ones.
+            const std::size_t start = std::min(j0, cols - kTileCols);
+            const std::size_t keep_from = j0 - start;
+            for (std::size_t i = row_begin; i < row_end; ++i) {
+                const float* arow = x.row_data(i);
+                float* crow = out.row_data(i) + start;
+                float acc[kTileCols];
+                for (std::size_t j = 0; j < kTileCols; ++j) {
+                    acc[j] = crow[j];
+                }
+                for (std::size_t k = 0; k < depth; ++k) {
+                    const float aik = arow[k];
+                    if (aik == 0.0f) {
+                        continue;
+                    }
+                    const float* brow = w.row_data(k) + start;
+                    for (std::size_t j = 0; j < kTileCols; ++j) {
+                        acc[j] += aik * brow[j];
+                    }
+                }
+                for (std::size_t j = keep_from; j < kTileCols; ++j) {
+                    crow[j] = acc[j];
+                }
+            }
+        }
+        return;
+    }
+    // Narrower than one tile: the same chain, cell by cell in memory.
+    for (std::size_t i = row_begin; i < row_end; ++i) {
+        const float* arow = x.row_data(i);
+        float* crow = out.row_data(i);
+        for (std::size_t k = 0; k < depth; ++k) {
+            const float aik = arow[k];
+            if (aik == 0.0f) {
+                continue;
+            }
+            const float* brow = w.row_data(k);
+            for (std::size_t j = 0; j < cols; ++j) {
                 crow[j] += aik * brow[j];
             }
         }

@@ -22,7 +22,8 @@ void rmsnorm(const support::MatrixF& in, std::span<const float> gain,
              support::MatrixF& out, float eps = 1e-5f);
 
 /** LayerNorm: (x - mean) / std * gain + bias, per row. */
-void layernorm(const support::MatrixF& in, std::span<const float> gain,
+void layernorm(const support::MatrixF& in,
+               std::span<const float> gain,
                std::span<const float> bias, support::MatrixF& out,
                float eps = 1e-5f);
 
@@ -76,16 +77,22 @@ void apply_activation_span(
     const nonlinear::NonlinearApproximator* activation,
     const std::function<void(std::span<const float>)>& capture = {});
 
-/** y = x * w, where w has shape [in, out]. */
+/**
+ * y = x * w, where w has shape [in, out]: linear_batched() under the
+ * name the single-request paths use, so every float projection in
+ * model/ runs one kernel.
+ */
 support::MatrixF linear(const support::MatrixF& x,
                         const support::MatrixF& w);
 
 /**
- * y = x * w like linear(), but with the reduction loop outermost, so
- * each weight row streams through the cache once per call instead of
- * once per batch row -- the batched-decode projection kernel.
- * Bit-identical to linear(): every output cell still accumulates its
- * k-products in ascending-k order (enforced by tests/model/ops_test).
+ * y = x * w, the float GEMM of every projection and LM head: a
+ * register-tiled kernel cloned per vector width (AVX-512, AVX2,
+ * baseline x86-64) and chosen at load time.  Bit-identical to the
+ * literal triple loop support::matmul on every host: each output
+ * cell adds its k-products in ascending k from zero, skipping
+ * zero activations, with no multiply-add contraction (enforced by
+ * tests/model/ops_test over ragged shapes).
  */
 support::MatrixF linear_batched(const support::MatrixF& x,
                                 const support::MatrixF& w);

@@ -15,7 +15,8 @@ namespace {
 void
 store_bf16(std::byte* dst, float value)
 {
-    const std::uint16_t bits = numerics::BFloat16::round_to_bits(value);
+    const std::uint16_t bits =
+        numerics::BFloat16::round_to_bits(value);
     dst[0] = static_cast<std::byte>(bits & 0xFF);
     dst[1] = static_cast<std::byte>(bits >> 8);
 }
@@ -33,7 +34,8 @@ load_bf16(const std::byte* src)
 
 KvCache::KvCache(std::size_t num_heads, std::size_t head_dim,
                  KvPrecision precision, BlockPool* pool)
-    : num_heads_(num_heads), head_dim_(head_dim), precision_(precision)
+    : num_heads_(num_heads), head_dim_(head_dim),
+      precision_(precision)
 {
     if (pool == nullptr) {
         owned_pool_ = std::make_unique<BlockPool>(units::Bytes(0));
@@ -135,7 +137,8 @@ KvCache::share_prefix_from(const KvCache& src,
     assert(num_heads_ == src.num_heads_ &&
            head_dim_ == src.head_dim_ &&
            precision_ == src.precision_ &&
-           "prefix sharing requires identical geometry and precision");
+           "prefix sharing requires identical geometry and "
+           "precision");
     assert(positions <= src.length_);
     if (positions == 0) {
         return;
@@ -201,7 +204,8 @@ KvCache::quantize_vector(const float* data) const
     for (std::size_t d = 0; d < head_dim_; ++d) {
         int code = 0;
         if (q.scale > 0.0f) {
-            code = static_cast<int>(std::nearbyint(data[d] / q.scale));
+            code =
+                static_cast<int>(std::nearbyint(data[d] / q.scale));
         }
         q.codes[d] = numerics::Int4::from_int(code);
     }
@@ -213,10 +217,13 @@ KvCache::append(const support::MatrixF& k_heads,
                 const support::MatrixF& v_heads)
 {
     assert(pool_ != nullptr && "append on a moved-from KvCache");
-    assert(k_heads.rows() == num_heads_ && k_heads.cols() == head_dim_);
-    assert(v_heads.rows() == num_heads_ && v_heads.cols() == head_dim_);
+    assert(k_heads.rows() == num_heads_ &&
+           k_heads.cols() == head_dim_);
+    assert(v_heads.rows() == num_heads_ &&
+           v_heads.cols() == head_dim_);
     if (length_ == table_.size() * block_tokens_) {
-        const BlockId id = pool_->allocate(units::Bytes(block_bytes_));
+        const BlockId id =
+            pool_->allocate(units::Bytes(block_bytes_));
         table_.push_back(id);
         // Block storage never moves while the block is live, so the
         // data pointer may be cached -- reads skip the pool lock.
@@ -273,16 +280,28 @@ KvCache::decode_vector(const std::byte* src, float* out) const
         std::memcpy(out, src, head_dim_ * sizeof(float));
         return;
     }
+    // An INT4 code takes one of 16 levels, so multiply each level by
+    // the vector's scale once and let every element look its product
+    // up: the same level * scale float multiply per element, done
+    // once per level.
     const float scale = load_bf16(src);
-    for (std::size_t d = 0; d < head_dim_; ++d) {
-        const unsigned nibble =
-            (static_cast<unsigned>(src[2 + d / 2]) >> ((d % 2) * 4)) &
-            0xF;
-        out[d] = static_cast<float>(
-                     numerics::Int4::decode(
-                         static_cast<std::uint8_t>(nibble))
-                         .value()) *
-                 scale;
+    float lut[16];
+    for (std::uint8_t c = 0; c < 16; ++c) {
+        lut[c] =
+            static_cast<float>(numerics::Int4::decode(c).value()) *
+            scale;
+    }
+    // Low nibble first, matching append().
+    const std::byte* packed = src + 2;
+    const std::size_t pairs = head_dim_ / 2;
+    for (std::size_t i = 0; i < pairs; ++i) {
+        const unsigned b = static_cast<unsigned>(packed[i]);
+        out[2 * i] = lut[b & 0xF];
+        out[2 * i + 1] = lut[b >> 4];
+    }
+    if (head_dim_ % 2 != 0) {
+        out[head_dim_ - 1] =
+            lut[static_cast<unsigned>(packed[pairs]) & 0xF];
     }
 }
 
@@ -301,8 +320,9 @@ KvCache::read_value(std::size_t head, units::Positions pos_in,
 {
     const std::size_t pos = pos_in.value();
     assert(head < num_heads_ && pos < length_);
-    decode_vector(
-        position_data(pos) + (num_heads_ + head) * vector_bytes(), out);
+    decode_vector(position_data(pos) +
+                      (num_heads_ + head) * vector_bytes(),
+                  out);
 }
 
 void
@@ -358,7 +378,8 @@ KvCache::key_code(std::size_t head, units::Positions pos_in,
     const std::byte* src =
         position_data(pos) + head * vector_bytes();
     const unsigned nibble =
-        (static_cast<unsigned>(src[2 + d / 2]) >> ((d % 2) * 4)) & 0xF;
+        (static_cast<unsigned>(src[2 + d / 2]) >> ((d % 2) * 4)) &
+        0xF;
     return numerics::Int4::decode(static_cast<std::uint8_t>(nibble));
 }
 

@@ -159,11 +159,9 @@ Engine::final_norm_logits(const support::MatrixF& x,
         std::vector<float> bias(config.d_model, 0.0f);
         model::layernorm(x, model_->final_norm_gain(), bias, x_norm);
     }
-    // linear and linear_batched are bit-identical; the batched form
-    // streams the LM head once for the whole stack.  Pooled, the
-    // stack's rows split into disjoint ranges with the identical
-    // per-cell accumulation (linear_batched_range), so the bytes
-    // match the serial GEMM.
+    // One GEMM over the whole stack.  Pooled, the stack's rows split
+    // into disjoint ranges with the identical per-cell accumulation
+    // (linear_batched_range), so the bytes match the serial GEMM.
     const support::MatrixF& lm_head = model_->lm_head();
     support::MatrixF logits(x_norm.rows(), lm_head.cols(), 0.0f);
     if (pool != nullptr && x_norm.rows() > 1) {

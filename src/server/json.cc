@@ -386,7 +386,9 @@ ObjectWriter::field(const std::string& key, double value)
 ObjectWriter&
 ObjectWriter::field(const std::string& key, const std::string& value)
 {
-    return field_raw(key, "\"" + escape(value) + "\"");
+    std::string quoted(1, '"');
+    quoted.append(escape(value)).append(1, '"');
+    return field_raw(key, quoted);
 }
 
 ObjectWriter&

@@ -131,7 +131,8 @@ ThreadPool::parallel_for(std::size_t count,
     // outlives all uses.
     {
         MutexLock lock(mu_);
-        assert(!shutdown_ && "parallel_for() on a pool being destroyed");
+        assert(!shutdown_ &&
+               "parallel_for() on a pool being destroyed");
         for (std::size_t i = 0; i < count; ++i) {
             queue_.push_back([state, &fn, i] {
                 std::exception_ptr error;
@@ -144,8 +145,12 @@ ThreadPool::parallel_for(std::size_t count,
                     MutexLock elock(state->mu);
                     if (i < state->first_error) {
                         state->first_error = i;
-                        state->error = error;
+                        state->error = std::move(error);
                     }
+                    // Drop this task's reference before the count
+                    // below releases the caller: only the caller may
+                    // free the exception, on its own thread.
+                    error = nullptr;
                 }
                 // acq_rel: the caller's acquire load of zero must see
                 // every byte the tasks wrote.
@@ -203,10 +208,12 @@ ThreadPool::parallel_for(std::size_t count,
         state->mu.unlock();
         break;
     }
+    // Move the exception out rather than copy it, so a worker's last
+    // State drop (which may run ~State on that worker) never owns it.
     std::exception_ptr error;
     {
         MutexLock lock(state->mu);
-        error = state->error;
+        error = std::move(state->error);
     }
     if (error) {
         std::rethrow_exception(error);

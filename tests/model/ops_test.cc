@@ -1,11 +1,15 @@
 #include "model/ops.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace mugi {
 namespace model {
@@ -80,7 +84,8 @@ TEST(Ops, RopeRelativePositionProperty)
     support::fill_gaussian(q, rng, 0.0f, 1.0f);
     support::fill_gaussian(k, rng, 0.0f, 1.0f);
 
-    const auto rotated_dot = [&](std::size_t pos_q, std::size_t pos_k) {
+    const auto rotated_dot = [&](std::size_t pos_q,
+                                 std::size_t pos_k) {
         support::MatrixF qq = q, kk = k;
         apply_rope(qq, 1, hd, pos_q);
         apply_rope(kk, 1, hd, pos_k);
@@ -161,22 +166,74 @@ TEST(Ops, ApplyActivationExactMatchesReference)
     }
 }
 
-TEST(Ops, LinearBatchedBitIdenticalToLinear)
+bool
+same_bytes(const support::MatrixF& a, const support::MatrixF& b)
 {
-    // The fused decode projections ride on this: the k-outer loop
-    // order must not change a single bit, zero-skips included.
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.size() * sizeof(float)) == 0;
+}
+
+TEST(Ops, LinearBatchedBitIdenticalToMatmulOverRaggedShapes)
+{
+    // The tiled kernel must reproduce the literal triple loop byte
+    // for byte: column counts below, at and across the tile width
+    // (with the overlapping last tile), row-range splits as the
+    // pooled step uses them, and the zero-skip on planted zeros, a
+    // -0.0f activation, an all-zero row and a weight row of inf/NaN
+    // that only zero activations reach.
     std::mt19937 rng(321);
-    for (const std::size_t rows : {1u, 3u, 16u}) {
-        support::MatrixF x(rows, 24);
-        support::MatrixF w(24, 40);
-        support::fill_gaussian(x, rng, 0.0f, 1.0f);
-        support::fill_gaussian(w, rng, 0.0f, 0.5f);
-        // Plant exact zeros to exercise the skip path.
-        x.at(0, 3) = 0.0f;
-        x.at(rows - 1, 20) = 0.0f;
-        const support::MatrixF batched = linear_batched(x, w);
-        const support::MatrixF reference = linear(x, w);
-        EXPECT_TRUE(batched == reference) << rows << " rows";
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const std::size_t cols : {1u, 15u, 63u, 64u, 65u, 128u, 341u,
+                                   512u}) {
+        for (const std::size_t rows : {1u, 4u, 17u}) {
+            for (const std::size_t depth : {1u, 24u, 130u}) {
+                support::MatrixF x(rows, depth);
+                support::MatrixF w(depth, cols);
+                support::fill_gaussian(x, rng, 0.0f, 1.0f);
+                support::fill_gaussian(w, rng, 0.0f, 0.5f);
+                x.at(0, depth / 2) = 0.0f;
+                x.at(rows - 1, 0) = -0.0f;
+                if (rows > 1) {
+                    for (std::size_t k = 0; k < depth; ++k) {
+                        x.at(rows / 2, k) = 0.0f;
+                    }
+                }
+                if (depth > 1) {
+                    const std::size_t bad = depth - 1;
+                    for (std::size_t j = 0; j < cols; ++j) {
+                        w.at(bad, j) = j % 2 == 0 ? inf : nan;
+                    }
+                    for (std::size_t i = 0; i < rows; ++i) {
+                        x.at(i, bad) = i % 2 == 0 ? 0.0f : -0.0f;
+                    }
+                }
+                const support::MatrixF reference =
+                    support::matmul(x, w);
+                const std::string shape =
+                    std::to_string(rows) + "x" +
+                    std::to_string(depth) + "x" +
+                    std::to_string(cols);
+                for (const float v : reference.data()) {
+                    ASSERT_TRUE(std::isfinite(v)) << shape;
+                }
+                EXPECT_TRUE(
+                    same_bytes(linear_batched(x, w), reference))
+                    << shape;
+                EXPECT_TRUE(same_bytes(linear(x, w), reference))
+                    << shape;
+                for (const std::size_t parts : {2u, 3u, 17u}) {
+                    support::MatrixF split(rows, cols, 0.0f);
+                    for (const auto& [begin, end] :
+                         support::split_ranges(rows, parts)) {
+                        linear_batched_range(x, w, begin, end, split);
+                    }
+                    EXPECT_TRUE(same_bytes(split, reference))
+                        << shape << " in " << parts << " parts";
+                }
+            }
+        }
     }
 }
 

@@ -1,6 +1,8 @@
 #include "quant/kv_cache.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -59,7 +61,8 @@ TEST(KvCache, Int4ErrorBounded)
     for (std::size_t h = 0; h < 2; ++h) {
         for (std::size_t t = 0; t < 20; ++t) {
             cache.read_key(h, units::Positions(t), out.data());
-            const float scale = cache.key_scale(h, units::Positions(t));
+            const float scale =
+                cache.key_scale(h, units::Positions(t));
             for (std::size_t d = 0; d < 32; ++d) {
                 // Half-step quantization error plus BF16 scale round.
                 EXPECT_LE(std::fabs(out[d] - ks[t].at(h, d)),
@@ -85,8 +88,9 @@ TEST(KvCache, Int4CompressionFactor)
     // accounting reports it is ~8x (minus scale overhead).  Equal
     // lengths page into equally many blocks, so block rounding
     // cancels out of the ratio.
-    const double ratio = static_cast<double>(fp.memory_bytes().value()) /
-                         static_cast<double>(q4.memory_bytes().value());
+    const double ratio =
+        static_cast<double>(fp.memory_bytes().value()) /
+        static_cast<double>(q4.memory_bytes().value());
     EXPECT_GT(ratio, 7.0);
     EXPECT_LE(ratio, 8.0);
 }
@@ -97,7 +101,8 @@ TEST(KvCache, CodesAreValidInt4)
     KvCache cache(1, 8, KvPrecision::kInt4);
     cache.append(random_heads(1, 8, rng), random_heads(1, 8, rng));
     for (std::size_t d = 0; d < 8; ++d) {
-        const numerics::Int4 code = cache.key_code(0, units::Positions(0), d);
+        const numerics::Int4 code =
+            cache.key_code(0, units::Positions(0), d);
         EXPECT_GE(code.value(), -7);
         EXPECT_LE(code.value(), 7);
         // Fits the 8-cycle temporal sweep of the Mugi rows.
@@ -208,7 +213,8 @@ TEST(KvCache, PagedReadsAreByteIdenticalAcrossBlockSizes)
     }
     for (const KvPrecision precision :
          {KvPrecision::kFloat, KvPrecision::kInt4}) {
-        BlockPool contiguous(units::Bytes(0), units::Tokens(T));  // One block holds everything.
+        // One block holds everything.
+        BlockPool contiguous(units::Bytes(0), units::Tokens(T));
         BlockPool tiny(units::Bytes(0), units::Tokens(1));
         BlockPool odd(units::Bytes(0), units::Tokens(5));
         KvCache reference(heads, hd, precision, &contiguous);
@@ -225,17 +231,18 @@ TEST(KvCache, PagedReadsAreByteIdenticalAcrossBlockSizes)
         std::vector<float> want(hd), got(hd);
         for (std::size_t h = 0; h < heads; ++h) {
             for (std::size_t t = 0; t < T; ++t) {
-                reference.read_key(h, units::Positions(t), want.data());
+                const units::Positions pos(t);
+                reference.read_key(h, pos, want.data());
                 for (const KvCache& cache : paged) {
-                    cache.read_key(h, units::Positions(t), got.data());
+                    cache.read_key(h, pos, got.data());
                     for (std::size_t d = 0; d < hd; ++d) {
                         EXPECT_EQ(got[d], want[d])
                             << "key h=" << h << " t=" << t;
                     }
                 }
-                reference.read_value(h, units::Positions(t), want.data());
+                reference.read_value(h, pos, want.data());
                 for (const KvCache& cache : paged) {
-                    cache.read_value(h, units::Positions(t), got.data());
+                    cache.read_value(h, pos, got.data());
                     for (std::size_t d = 0; d < hd; ++d) {
                         EXPECT_EQ(got[d], want[d])
                             << "value h=" << h << " t=" << t;
@@ -243,11 +250,11 @@ TEST(KvCache, PagedReadsAreByteIdenticalAcrossBlockSizes)
                 }
                 if (precision == KvPrecision::kInt4) {
                     for (const KvCache& cache : paged) {
-                        EXPECT_EQ(cache.key_scale(h, units::Positions(t)),
-                                  reference.key_scale(h, units::Positions(t)));
+                        EXPECT_EQ(cache.key_scale(h, pos),
+                                  reference.key_scale(h, pos));
                         for (std::size_t d = 0; d < hd; ++d) {
-                            EXPECT_EQ(cache.key_code(h, units::Positions(t), d),
-                                      reference.key_code(h, units::Positions(t), d));
+                            EXPECT_EQ(cache.key_code(h, pos, d),
+                                      reference.key_code(h, pos, d));
                         }
                     }
                 }
@@ -314,6 +321,127 @@ TEST(KvCache, BatchedRangeReadsAreByteIdenticalToPerPositionReads)
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/** Bit pattern of @p v, so -0.0f and +0.0f compare unequal. */
+std::uint32_t
+bits(float v)
+{
+    return std::bit_cast<std::uint32_t>(v);
+}
+
+TEST(KvCache, Int4ReadsEqualCodeTimesScaleFromTheAccessors)
+{
+    // Every dequantized key element -- batched (read_keys) and per
+    // position (read_key) -- must be exactly float(code) * scale from
+    // the raw-code and scale accessors, for even and odd head_dim
+    // (the tail nibble), ranges crossing block boundaries, and a
+    // cache whose prefix blocks are shared with a donor and whose
+    // partial tail block was copied on write.  Values decode through
+    // the same per-vector routine; read_values must match
+    // read_value element for element.
+    std::mt19937 rng(823);
+    const std::size_t heads = 2;
+    for (const std::size_t hd : {7u, 16u}) {
+        BlockPool pool(units::Bytes(0), units::Tokens(4));
+        KvCache donor(heads, hd, KvPrecision::kInt4, &pool);
+        for (int t = 0; t < 10; ++t) {
+            donor.append(random_heads(heads, hd, rng),
+                         random_heads(heads, hd, rng));
+        }
+        KvCache sharer(heads, hd, KvPrecision::kInt4, &pool);
+        sharer.share_prefix_from(donor, units::Positions(6));
+        for (int t = 0; t < 5; ++t) {
+            sharer.append(random_heads(heads, hd, rng),
+                          random_heads(heads, hd, rng));
+        }
+        ASSERT_EQ(sharer.shared_blocks(), units::Blocks(1));
+        for (const KvCache* cache : {&donor, &sharer}) {
+            const std::size_t len = cache->length().value();
+            const struct {
+                std::size_t begin, end;
+            } ranges[] = {{0, len}, {3, 9}, {4, 8}, {5, 6}};
+            for (const auto& range : ranges) {
+                const std::size_t count = range.end - range.begin;
+                std::vector<float> keys(count * hd);
+                std::vector<float> values(count * hd);
+                std::vector<float> key(hd), value(hd);
+                for (std::size_t h = 0; h < heads; ++h) {
+                    const units::Positions begin(range.begin);
+                    const units::Positions end(range.end);
+                    cache->read_keys(h, begin, end, keys.data());
+                    cache->read_values(h, begin, end, values.data());
+                    for (std::size_t i = 0; i < count; ++i) {
+                        const units::Positions pos(range.begin + i);
+                        cache->read_key(h, pos, key.data());
+                        cache->read_value(h, pos, value.data());
+                        const float scale = cache->key_scale(h, pos);
+                        for (std::size_t d = 0; d < hd; ++d) {
+                            const int code =
+                                cache->key_code(h, pos, d).value();
+                            const float want =
+                                static_cast<float>(code) * scale;
+                            EXPECT_EQ(bits(keys[i * hd + d]),
+                                      bits(want))
+                                << "hd " << hd << " h " << h
+                                << " pos " << pos << " d " << d;
+                            EXPECT_EQ(bits(key[d]), bits(want));
+                            EXPECT_EQ(bits(values[i * hd + d]),
+                                      bits(value[d]))
+                                << "hd " << hd << " h " << h
+                                << " pos " << pos << " d " << d;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(KvCache, FloatReadsReturnTheAppendedBitsThroughSharedBlocks)
+{
+    // Float KV is stored verbatim: every read path returns the exact
+    // appended bits, also through shared and copied-on-write blocks.
+    std::mt19937 rng(827);
+    const std::size_t heads = 2, hd = 7;
+    BlockPool pool(units::Bytes(0), units::Tokens(4));
+    KvCache donor(heads, hd, KvPrecision::kFloat, &pool);
+    std::vector<support::MatrixF> ks, vs;
+    for (int t = 0; t < 6; ++t) {
+        ks.push_back(random_heads(heads, hd, rng));
+        vs.push_back(random_heads(heads, hd, rng));
+        vs.back().at(1, t) = -0.0f;
+        donor.append(ks.back(), vs.back());
+    }
+    KvCache sharer(heads, hd, KvPrecision::kFloat, &pool);
+    sharer.share_prefix_from(donor, units::Positions(6));
+    for (int t = 0; t < 5; ++t) {
+        ks.push_back(random_heads(heads, hd, rng));
+        vs.push_back(random_heads(heads, hd, rng));
+        sharer.append(ks.back(), vs.back());
+    }
+    ASSERT_EQ(sharer.shared_blocks(), units::Blocks(1));
+    const std::size_t len = sharer.length().value();
+    std::vector<float> keys(len * hd), values(len * hd);
+    std::vector<float> key(hd), value(hd);
+    for (std::size_t h = 0; h < heads; ++h) {
+        const units::Positions end(len);
+        const units::Positions begin(0);
+        sharer.read_keys(h, begin, end, keys.data());
+        sharer.read_values(h, begin, end, values.data());
+        for (std::size_t t = 0; t < len; ++t) {
+            sharer.read_key(h, units::Positions(t), key.data());
+            sharer.read_value(h, units::Positions(t), value.data());
+            for (std::size_t d = 0; d < hd; ++d) {
+                const std::uint32_t want_k = bits(ks[t].at(h, d));
+                const std::uint32_t want_v = bits(vs[t].at(h, d));
+                EXPECT_EQ(bits(keys[t * hd + d]), want_k) << t;
+                EXPECT_EQ(bits(key[d]), want_k) << t;
+                EXPECT_EQ(bits(values[t * hd + d]), want_v) << t;
+                EXPECT_EQ(bits(value[d]), want_v) << t;
             }
         }
     }
@@ -421,7 +549,8 @@ TEST(KvCache, ReusedBlocksComeBackZeroedForTheNibbleOrPath)
             for (std::size_t d = 0; d < 8; ++d) {
                 EXPECT_EQ(got[d], want[d]) << "h=" << h << " t=" << t;
             }
-            EXPECT_EQ(cache.key_scale(h, units::Positions(t)), fresh.key_scale(h, units::Positions(t)));
+            EXPECT_EQ(cache.key_scale(h, units::Positions(t)),
+                      fresh.key_scale(h, units::Positions(t)));
         }
     }
 }
@@ -445,7 +574,8 @@ TEST(KvCache, SharedPrefixReadsAreByteIdenticalForBothPrecisions)
         const units::Bytes donor_bytes = donor.memory_bytes();
 
         KvCache sharer(2, 8, precision, &pool);
-        sharer.share_prefix_from(donor, units::Positions(8));  // Two full blocks.
+        // Two full blocks.
+        sharer.share_prefix_from(donor, units::Positions(8));
         EXPECT_EQ(sharer.length(), units::Positions(8));
         EXPECT_EQ(sharer.blocks_in_use(), units::Blocks(2));
         EXPECT_EQ(sharer.shared_blocks(), units::Blocks(2));
@@ -535,7 +665,8 @@ TEST(KvCache, CopyOnWriteClonesAPartiallySharedBlock)
             donor.append(ks.back(), ks.back());
         }
         KvCache sharer(2, 8, precision, &pool);
-        sharer.share_prefix_from(donor, units::Positions(6));  // Includes partial block.
+        // Includes the partial block.
+        sharer.share_prefix_from(donor, units::Positions(6));
         EXPECT_EQ(pool.shared_blocks(), units::Blocks(2));
         const units::Bytes before = pool.bytes_in_use();
 
@@ -544,7 +675,8 @@ TEST(KvCache, CopyOnWriteClonesAPartiallySharedBlock)
         sharer.append(sharer_tail, sharer_tail);
         EXPECT_EQ(pool.bytes_in_use(),
                   before + donor.block_bytes());
-        EXPECT_EQ(pool.shared_blocks(), units::Blocks(1));  // Tail block unshared.
+        // The tail block is unshared.
+        EXPECT_EQ(pool.shared_blocks(), units::Blocks(1));
 
         // Donor's view of position 6's slot never changed: appending
         // its own continuation there still reads back cleanly.
